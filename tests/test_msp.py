@@ -4,11 +4,16 @@ from triplication import (
     BudgetExceeded,
     CongruousTable,
     InvalidInput,
+    Pairing,
     Scenario,
     ScenarioMismatch,
+    admissible_keys,
     check_congruous,
     compile_instance,
+    conjugate,
+    one_starter_table,
     random_tt,
+    recover_starter,
     solution_from_json,
     solution_to_json,
     solve,
@@ -21,6 +26,20 @@ from oracles import solutions_by_color_classes, solutions_literal
 
 def table7():
     return validate(golden.TABLE_7_KEY1, 7)
+
+
+def chain_tables(steps):
+    """Tables of the chain 7 -> 21 -> ...: each step builds the one-starter
+    table of the last recovered starter with its smallest admissible key and
+    solves it under ``carry``.  Yields ``(table, outcome)``."""
+    starter = Pairing(7, ((2, 3), (4, 6), (1, 5)))
+    for _ in range(steps):
+        keys = admissible_keys(starter, starter, conjugate(starter))
+        tt = one_starter_table(starter, min(keys))
+        sc = Scenario("carry", tt.m)
+        outcome = solve(compile_instance(tt, sc), mode="first")
+        yield tt, outcome
+        starter = recover_starter(tt, outcome.tables[0], sc)
 
 
 def printed_solution_carry():
@@ -113,6 +132,21 @@ def test_budget_abort_is_distinct_from_unsat():
     tt = validate(golden.UNSOLVABLE_11, 11)
     out = solve(compile_instance(tt, Scenario("carry", 11)), mode="first", budget=50)
     assert out.status == "aborted"
+
+
+@pytest.mark.parametrize("kind", ["mod", "carry"])
+def test_search_counters_are_pinned(kind):
+    # The exact search: a kernel change that keeps variable and value order
+    # must expand exactly these nodes.
+    for pairs, m, expected in (
+        (golden.UNSOLVABLE_11, 11, ("unsat", 113582, 113582)),
+        (golden.UNSOLVABLE_13, 13, ("unsat", 56194, 56194)),
+    ):
+        out = solve(compile_instance(validate(pairs, m), Scenario(kind, m)))
+        assert (out.status, out.stats.nodes, out.stats.backtracks) == expected
+    if kind == "carry":
+        got = [(tt.m, o.stats.nodes, o.stats.backtracks) for tt, o in chain_tables(2)]
+        assert got == [(7, 24, 4), (21, 62, 0)]
 
 
 def test_solve_modes_are_consistent():
