@@ -172,7 +172,15 @@ def _batch_job(job: tuple) -> dict:
     if kind == "fixed":
         tt = table_from_json(tt_json)
     else:
-        tt = random_tt(m, seed=seed)
+        try:
+            tt = random_tt(m, seed=seed)
+        except BudgetExceeded as exc:
+            record.update(
+                outcome="sample_aborted",
+                message=str(exc),
+                elapsed=round(time.perf_counter() - t0, 6),
+            )
+            return record
         record["tt"] = table_to_json(tt)
     sc = Scenario(scenario_kind, tt.m)
     outcome = solve(compile_instance(tt, sc), mode="first", budget=budget)
@@ -189,6 +197,27 @@ def _batch_job(job: tuple) -> dict:
     return record
 
 
+def _finished_jobs(log_path: str) -> set:
+    """``(m, index)`` of every job recorded in the log.
+
+    A last line without its newline was cut short by a crash mid-write: it
+    is cut off the file, so that its job runs again.  Any other line that
+    does not parse raises.
+    """
+    if not os.path.exists(log_path):
+        return set()
+    with open(log_path, "rb+") as fh:
+        data = fh.read()
+        *lines, partial = data.split(b"\n")
+        if partial:
+            fh.truncate(len(data) - len(partial))
+    done = set()
+    for line in lines:
+        rec = json.loads(line)
+        done.add((rec["m"], rec["index"]))
+    return done
+
+
 def cmd_batch(args) -> int:
     orders = [int(x) for x in args.orders.split(",")] if args.orders else []
     if args.samples < 1 and not args.fixed_tt:
@@ -198,12 +227,7 @@ def cmd_batch(args) -> int:
     outdir = _outdir(args)
     log_path = os.path.join(outdir, "batch_log.jsonl")
 
-    done = set()
-    if os.path.exists(log_path):
-        with open(log_path) as fh:
-            for line in fh:
-                rec = json.loads(line)
-                done.add((rec["m"], rec["index"]))
+    done = _finished_jobs(log_path)
 
     jobs = []
     for m in orders:
@@ -243,20 +267,20 @@ def cmd_batch(args) -> int:
         for line in fh:
             rec = json.loads(line)
             bucket = summary.setdefault(
-                str(rec["m"]), {"N": 0, "N_unsat": 0, "N_aborted": 0}
+                str(rec["m"]),
+                {"N": 0, "N_unsat": 0, "N_aborted": 0, "N_sample_aborted": 0},
             )
             bucket["N"] += 1
-            if rec["outcome"] == "unsat":
-                bucket["N_unsat"] += 1
-            elif rec["outcome"] == "aborted":
-                bucket["N_aborted"] += 1
+            if rec["outcome"] in ("unsat", "aborted", "sample_aborted"):
+                bucket["N_" + rec["outcome"]] += 1
     summary_path = os.path.join(outdir, "batch_summary.json")
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2)
     for m, bucket in sorted(summary.items(), key=lambda kv: int(kv[0])):
         print(
             f"m={m}: N={bucket['N']} unsat={bucket['N_unsat']} "
-            f"aborted={bucket['N_aborted']}"
+            f"aborted={bucket['N_aborted']} "
+            f"sample_aborted={bucket['N_sample_aborted']}"
         )
     print(f"log: {log_path}\nsummary: {summary_path}")
     return EXIT_OK

@@ -8,6 +8,14 @@ groups derived from the rows, weak sets, and monochrome sets of the table.
 those domains.  ``unsat`` is reported only after the search space is
 exhausted; running out of budget is a distinct ``aborted`` outcome.
 
+The search kernel is table-driven: every expression is precompiled into a
+lookup table of its values over the 3x3 selector pairs, the depth-first
+search runs on an explicit stack rather than by recursion, and the
+unassigned variables are kept in one bitset per remaining domain size, so
+picking the next variable needs no scan.  None of this changes the search
+order (fewest candidates first, lowest id on ties), so node and backtrack
+counts are those of a plain recursive search.
+
 Variable numbering: position ``<i, l>`` of the table (pair ``i``, component
 ``l``) is variable ``2*i + l``, so ``U_i`` is even and ``V_i`` odd.
 """
@@ -168,26 +176,64 @@ def compile_instance(tt: TriplicationTable, sc) -> MspInstance:
     )
 
 
+_POPCOUNT = (0, 1, 1, 2, 1, 2, 2, 3)
+
+
 class _Search:
     """Backtracking with forward checking over 3-value selector domains.
 
     Variable order: fewest remaining candidates first, ties broken by lowest
     variable id.  Value order: domain order, or a per-variable seeded shuffle
     when sampling.  Deterministic for a fixed seed.
+
+    The kernel is table-driven.  Each expression is compiled once into a
+    plain tuple ``(a, b, tab)``: a variable is ``(v, -1, domains[v])`` and a
+    pair expression is ``(2i, 2i+1, tab)`` with ``tab[3*sa + sb]`` its value
+    for selectors ``sa`` and ``sb``.  A group's values seen so far are an int
+    bitmask, and a zero-forbidding group starts with bit 0 set.  The search
+    runs on an explicit stack of ``[var, next value index, trail mark]``
+    frames, so its depth is not bounded by the interpreter's recursion
+    limit.  ``buckets[k]`` is a bitset of the unassigned variables with
+    ``k`` candidates left, kept current on every assign, prune and restore,
+    so selection is the lowest set bit of the first non-empty bucket.
+
+    Forward checking prunes only against values of assigned variables, so
+    its result does not depend on the order in which groups are visited;
+    with the same variable and value order, the search expands the same
+    nodes as a plain recursive search that re-evaluates every expression
+    and rescans every variable at each node.
     """
 
     def __init__(self, inst: MspInstance, seed=None):
-        self.inst = inst
         nv = inst.n_vars
+        r = inst.r
+        doms = inst.domains
         self.assign = [-1] * nv
         self.domain = [0b111] * nv
-        self.var_groups: list[list[int]] = [[] for _ in range(nv)]
-        for gi, g in enumerate(inst.groups):
-            touched = set()
+        groups: list[list[tuple]] = [[] for _ in range(nv)]
+        for g in inst.groups:
+            exprs = []
             for e in g.exprs:
-                touched.update(e.variables())
-            for v in touched:
-                self.var_groups[v].append(gi)
+                if e.op == VAR:
+                    v = e.idx
+                    exprs.append((v, -1, doms[v]))
+                    if g.forbid_zero:
+                        # Selectors that map a zero-forbidding single
+                        # variable to 0 go before the search starts.
+                        for sel in (0, 1, 2):
+                            if doms[v][sel] == 0:
+                                self.domain[v] &= ~(1 << sel)
+                    continue
+                a, b = 2 * e.idx, 2 * e.idx + 1
+                sign = 1 if e.op == SUM else -1
+                tab = tuple(
+                    (x + sign * y + e.adj) % r for x in doms[a] for y in doms[b]
+                )
+                exprs.append((a, b, tab))
+            group = (tuple(exprs), 1 if g.forbid_zero else 0)
+            for v in {v for e in g.exprs for v in e.variables()}:
+                groups[v].append(group)
+        self.var_groups = [tuple(gs) for gs in groups]
         if seed is None:
             self.value_order = [(0, 1, 2)] * nv
         else:
@@ -198,129 +244,112 @@ class _Search:
         self.trail: list[tuple[int, int]] = []
         self.nodes = 0
         self.backtracks = 0
-        self._setup_ok = self._prune_unary()
-
-    def _value(self, v: int, sel: int) -> int:
-        return self.inst.domains[v][sel]
-
-    def _eval(self, e: Expr, hypo_var: int = -1, hypo_sel: int = -1) -> int:
-        r = self.inst.r
-
-        def val(v: int) -> int:
-            sel = hypo_sel if v == hypo_var else self.assign[v]
-            return self.inst.domains[v][sel]
-
-        if e.op == VAR:
-            return val(e.idx)
-        a, b = val(2 * e.idx), val(2 * e.idx + 1)
-        if e.op == DIFF:
-            return (a - b + e.adj) % r
-        return (a + b + e.adj) % r
-
-    def _prune_unary(self) -> bool:
-        # Zero-forbidding groups kill selectors that map a single-variable
-        # expression to 0 before the search starts.
-        for g in self.inst.groups:
-            if not g.forbid_zero:
-                continue
-            for e in g.exprs:
-                if e.op != VAR:
-                    continue
-                v = e.idx
-                for sel in (0, 1, 2):
-                    if (self.domain[v] >> sel) & 1 and self._value(v, sel) == 0:
-                        self.domain[v] &= ~(1 << sel)
-                if self.domain[v] == 0:
-                    return False
-        return True
-
-    def _select(self) -> int:
-        best, best_size = -1, 4
-        for v in range(self.inst.n_vars):
-            if self.assign[v] >= 0:
-                continue
-            size = bin(self.domain[v]).count("1")
-            if size < best_size:
-                best, best_size = v, size
-                if size == 1:
-                    break
-        return best
+        self.buckets = [0, 0, 0, 0]
+        for v in range(nv):
+            self.buckets[_POPCOUNT[self.domain[v]]] |= 1 << v
 
     def _propagate(self, var: int) -> bool:
-        for gi in self.var_groups[var]:
-            g = self.inst.groups[gi]
-            complete: list[int] = []
-            pending: list[tuple[Expr, int]] = []
-            for e in g.exprs:
-                unassigned = [v for v in e.variables() if self.assign[v] < 0]
-                if not unassigned:
-                    complete.append(self._eval(e))
-                elif len(unassigned) == 1:
-                    pending.append((e, unassigned[0]))
-            seen: set[int] = set()
-            for w in complete:
-                if w in seen or (g.forbid_zero and w == 0):
+        assign, domain, trail, buckets = (
+            self.assign, self.domain, self.trail, self.buckets
+        )
+        for exprs, seen in self.var_groups[var]:
+            # (unassigned variable, tab, offset, stride): its value under
+            # selector ``sel`` is ``tab[offset + stride*sel]``.
+            pending = []
+            for a, b, tab in exprs:
+                sa = assign[a]
+                if b < 0:
+                    if sa < 0:
+                        pending.append((a, tab, 0, 1))
+                        continue
+                    w = tab[sa]
+                else:
+                    sb = assign[b]
+                    if sa < 0:
+                        if sb >= 0:
+                            pending.append((a, tab, sb, 3))
+                        continue
+                    if sb < 0:
+                        pending.append((b, tab, 3 * sa, 1))
+                        continue
+                    w = tab[3 * sa + sb]
+                if (seen >> w) & 1:
                     return False
-                seen.add(w)
-            if g.forbid_zero:
-                seen.add(0)
-            for e, u in pending:
-                mask = self.domain[u]
-                for sel in (0, 1, 2):
-                    if (mask >> sel) & 1 and self._eval(e, u, sel) in seen:
-                        mask &= ~(1 << sel)
-                        self.trail.append((u, sel))
-                if mask == 0:
-                    return False
-                self.domain[u] = mask
+                seen |= 1 << w
+            for u, tab, off, stride in pending:
+                old = mask = domain[u]
+                if mask & 1 and (seen >> tab[off]) & 1:
+                    mask ^= 1
+                if mask & 2 and (seen >> tab[off + stride]) & 1:
+                    mask ^= 2
+                if mask & 4 and (seen >> tab[off + 2 * stride]) & 1:
+                    mask ^= 4
+                if mask != old:
+                    if not mask:
+                        return False
+                    trail.append((u, old))
+                    domain[u] = mask
+                    bit = 1 << u
+                    buckets[_POPCOUNT[old]] ^= bit
+                    buckets[_POPCOUNT[mask]] |= bit
         return True
-
-    def _undo(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            v, sel = self.trail.pop()
-            self.domain[v] |= 1 << sel
 
     def run(self, mode: str, budget, limit):
         found: list[tuple[int, ...]] = []
         count = 0
-        aborted = False
-        if not self._setup_ok:
+        if self.buckets[0]:  # a candidate-free variable: unsat at the root
             return found, 0, False
-
-        def dfs() -> bool:
-            # True means: unwind the whole search now.
-            nonlocal count, aborted
-            var = self._select()
-            if var < 0:
-                count += 1
-                if mode != "count":
-                    found.append(tuple(self.assign))
-                if mode == "first":
-                    return True
-                if limit is not None and count >= limit:
-                    aborted = True
-                    return True
-                return False
-            for sel in self.value_order[var]:
-                if not (self.domain[var] >> sel) & 1:
-                    continue
-                self.nodes += 1
-                if budget is not None and self.nodes > budget:
-                    aborted = True
-                    return True
-                mark = len(self.trail)
-                self.assign[var] = sel
-                if self._propagate(var) and dfs():
-                    self.assign[var] = -1
-                    self._undo(mark)
-                    return True
-                self.assign[var] = -1
-                self._undo(mark)
+        assign, domain, trail, buckets = (
+            self.assign, self.domain, self.trail, self.buckets
+        )
+        order = self.value_order
+        stack: list[list[int]] = []
+        descend = True
+        while True:
+            if descend:
+                bucket = buckets[1] or buckets[2] or buckets[3]
+                if bucket:
+                    var = (bucket & -bucket).bit_length() - 1
+                    stack.append([var, 0, len(trail)])
+                else:
+                    count += 1
+                    if mode != "count":
+                        found.append(tuple(assign))
+                    if mode == "first":
+                        return found, count, False
+                    if limit is not None and count >= limit:
+                        return found, count, True
+            if not stack:
+                return found, count, False
+            frame = stack[-1]
+            var, k, mark = frame
+            bit = 1 << var
+            if assign[var] >= 0:
+                # Back from the value tried last: take it back.
+                assign[var] = -1
+                if len(trail) > mark:
+                    for u, old in reversed(trail[mark:]):
+                        ubit = 1 << u
+                        buckets[_POPCOUNT[domain[u]]] ^= ubit
+                        buckets[_POPCOUNT[old]] |= ubit
+                        domain[u] = old
+                    del trail[mark:]
+                buckets[_POPCOUNT[domain[var]]] |= bit
                 self.backtracks += 1
-            return False
-
-        dfs()
-        return found, count, aborted
+            dom, values = domain[var], order[var]
+            while k < 3 and not (dom >> values[k]) & 1:
+                k += 1
+            if k == 3:
+                stack.pop()
+                descend = False
+                continue
+            frame[1] = k + 1
+            self.nodes += 1
+            if budget is not None and self.nodes > budget:
+                return found, count, True
+            assign[var] = values[k]
+            buckets[_POPCOUNT[dom]] ^= bit
+            descend = self._propagate(var)
 
 
 def _table_from_assignment(inst: MspInstance, selectors: tuple[int, ...]) -> CongruousTable:

@@ -211,6 +211,56 @@ def test_batch_fixed_table_records_unsat(tmp_path):
     assert records[0]["index"] == "fixed:tt.json"
 
 
+def test_batch_records_sampler_budget_abort(tmp_path, capsys, monkeypatch):
+    import triplication.cli as cli
+    from triplication import BudgetExceeded
+
+    real_random_tt = cli.random_tt
+
+    def random_tt(m, seed=None):
+        if seed == 7 * 1009 + 1:  # the job of index 1 at m = 7, seed 0
+            raise BudgetExceeded("synthetic sampler budget")
+        return real_random_tt(m, seed=seed)
+
+    monkeypatch.setattr(cli, "random_tt", random_tt)
+    code = run(["batch", "--orders", "7", "--samples", 3, "--outdir", tmp_path])
+    assert code == 0
+    records = [
+        json.loads(l) for l in (tmp_path / "batch_log.jsonl").read_text().splitlines()
+    ]
+    assert [r["outcome"] for r in records] == ["solution", "sample_aborted", "solution"]
+    assert records[1]["message"] == "synthetic sampler budget"
+    summary = json.loads((tmp_path / "batch_summary.json").read_text())
+    assert summary["7"]["N"] == 3 and summary["7"]["N_sample_aborted"] == 1
+    assert "sample_aborted=1" in capsys.readouterr().out
+
+
+def test_batch_resume_redoes_truncated_last_record(tmp_path):
+    args = ["batch", "--orders", "7", "--samples", 3, "--seed", 5,
+            "--outdir", tmp_path]
+    assert run(args) == 0
+    log = tmp_path / "batch_log.jsonl"
+    full = log.read_bytes()
+    log.write_bytes(full[:-10])  # a crash in the middle of the last write
+    assert run(args) == 0
+    redone = [json.loads(l) for l in log.read_text().splitlines()]
+    expected = [json.loads(l) for l in full.decode().splitlines()]
+    for r in redone + expected:
+        r.pop("elapsed")
+    assert redone == expected
+
+
+def test_batch_resume_rejects_malformed_inner_line(tmp_path):
+    args = ["batch", "--orders", "7", "--samples", 3, "--outdir", tmp_path]
+    assert run(args) == 0
+    log = tmp_path / "batch_log.jsonl"
+    lines = log.read_text().splitlines(keepends=True)
+    lines[1] = lines[1][:-10] + "\n"
+    log.write_text("".join(lines))
+    assert run(args) == 4
+    assert log.read_text() == "".join(lines)
+
+
 def test_batch_workers_pool(tmp_path):
     code = run(["batch", "--orders", "5", "--samples", 4, "--workers", 2,
                 "--outdir", tmp_path])

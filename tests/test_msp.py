@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from triplication import (
@@ -147,6 +149,19 @@ def test_search_counters_are_pinned(kind):
     if kind == "carry":
         got = [(tt.m, o.stats.nodes, o.stats.backtracks) for tt, o in chain_tables(2)]
         assert got == [(7, 24, 4), (21, 62, 0)]
+
+
+def test_search_depth_is_not_bounded_by_recursion_limit():
+    _, (tt, _) = chain_tables(2)
+    inst = compile_instance(tt, Scenario("carry", tt.m))
+    assert inst.n_vars == 62
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(60)
+    try:
+        out = solve(inst, mode="first")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out.status == "solution" and out.stats.nodes == 62
 
 
 def test_solve_modes_are_consistent():
