@@ -198,10 +198,10 @@ class _Search:
     so selection is the lowest set bit of the first non-empty bucket.
 
     Forward checking prunes only against values of assigned variables, so
-    its result does not depend on the order in which groups are visited;
-    with the same variable and value order, the search expands the same
-    nodes as a plain recursive search that re-evaluates every expression
-    and rescans every variable at each node.
+    its result does not depend on the order in which groups are visited.
+    The nodes expanded therefore depend only on the variable and value
+    order above, which the tables, the stack and the buckets leave as they
+    are.
     """
 
     def __init__(self, inst: MspInstance, seed=None):

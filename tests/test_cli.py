@@ -216,9 +216,11 @@ def test_batch_records_sampler_budget_abort(tmp_path, capsys, monkeypatch):
     from triplication import BudgetExceeded
 
     real_random_tt = cli.random_tt
+    calls = []
 
     def random_tt(m, seed=None):
-        if seed == 7 * 1009 + 1:  # the job of index 1 at m = 7, seed 0
+        calls.append(seed)
+        if len(calls) == 2:  # jobs run in order with one worker
             raise BudgetExceeded("synthetic sampler budget")
         return real_random_tt(m, seed=seed)
 
