@@ -77,6 +77,7 @@ from .templates import (
     one_starter_table,
     patterned_starter,
     template_base_from_spec,
+    template_table,
     three_starter_table,
 )
 

@@ -26,14 +26,15 @@ from concurrent.futures import ProcessPoolExecutor
 from .errors import (
     BudgetExceeded,
     InternalVerificationFailure,
+    KeyNotAdmissible,
     TriplicationError,
 )
 from .msp import compile_instance, random_tt, solution_to_json, solve
 from .pairings import Pairing, classify, pairing_from_json
 from .recovery import recover_starter, starter_from_json, starter_to_json
 from .scenarios import Scenario
-from .tables import render_table, table_from_json, table_to_json, validate
-from .templates import admissible_keys, build_template, template_base_from_spec
+from .tables import render_table, table_from_json, table_to_json
+from .templates import admissible_keys, template_base_from_spec, template_table
 
 EXIT_OK = 0
 EXIT_UNSAT = 2
@@ -88,11 +89,11 @@ def cmd_build(args) -> int:
         if key is None:
             raise SystemExit("a key is required (--key or spec file)")
         key = int(key)
-        keys = admissible_keys(*base)
-        if key not in keys:
-            print(f"key {key} is not admissible; K = {sorted(keys)}")
+        try:
+            tt = template_table(*base, key)
+        except KeyNotAdmissible:
+            print(f"key {key} is not admissible; K = {sorted(admissible_keys(*base))}")
             return EXIT_INVALID
-        tt = validate(build_template(*base, key), base[0].modulus)
         provenance_spec = {"template": spec, "key": key}
     sc = Scenario(scenario_kind, tt.m)
     inst = compile_instance(tt, sc)
@@ -166,12 +167,10 @@ def cmd_verify(args) -> int:
 
 
 def _batch_job(job: tuple) -> dict:
-    kind, m, index, seed, scenario_kind, budget, tt_json = job
+    kind, m, index, seed, scenario_kind, budget, tt = job
     t0 = time.perf_counter()
     record = {"m": m, "index": index, "seed": seed, "scenario": scenario_kind}
-    if kind == "fixed":
-        tt = table_from_json(tt_json)
-    else:
+    if kind == "random":
         try:
             tt = random_tt(m, seed=seed)
         except BudgetExceeded as exc:
@@ -239,15 +238,14 @@ def cmd_batch(args) -> int:
                 ("random", m, index, job_seed, args.scenario, args.budget, None)
             )
     for path in args.fixed_tt or []:
+        # Validated here, before any job runs, so that a bad file ends the
+        # run with an error instead of failing inside a job.
         with open(path) as fh:
-            tt_json = json.load(fh)
+            tt = table_from_json(json.load(fh))
         index = f"fixed:{os.path.basename(path)}"
-        if (tt_json["m"], index) in done:
+        if (tt.m, index) in done:
             continue
-        jobs.append(
-            ("fixed", tt_json["m"], index, args.seed, args.scenario,
-             args.budget, tt_json)
-        )
+        jobs.append(("fixed", tt.m, index, args.seed, args.scenario, args.budget, tt))
 
     with open(log_path, "a") as log:
         if args.workers > 1 and jobs:

@@ -25,6 +25,11 @@ class NotATable(TriplicationError):
         self.detail = detail
         super().__init__(f"clause ({clause}): {detail}")
 
+    def __reduce__(self):
+        # ``args`` holds the formatted message only; rebuild from the parts
+        # so that the error crosses a process boundary intact.
+        return type(self), (self.clause, self.detail)
+
 
 class InputNotStrongStarter(InvalidInput):
     """Operation requires a strong starter and the input is not one."""

@@ -1,20 +1,33 @@
 """Finite-domain constraint problems over triplication tables.
 
-:func:`compile_instance` turns a table plus a discrimination scenario into a
-3-valued constraint problem: one variable per component position, a
-three-value candidate domain per variable, and small pairwise-distinct
-groups derived from the rows, weak sets, and monochrome sets of the table.
-:func:`solve` runs chronological backtracking with forward checking over
-those domains.  ``unsat`` is reported only after the search space is
-exhausted; running out of budget is a distinct ``aborted`` outcome.
+:func:`compile_instance` turns a table into one constraint problem over
+``Z_3``, the same for every discrimination scenario.  The unknown at
+component position ``j`` is the lift index ``k_j`` in ``{0, 1, 2}`` of the
+table entry ``c_j``: the sought starter holds ``x_j = c_j + k_j*m`` there.
+Each constraint group compares elements of ``Z_{3m}`` that share one residue
+mod ``m``, so they are distinct exactly when their lift indices are:
 
-The search kernel is table-driven: every expression is precompiled into a
-lookup table of its values over the 3x3 selector pairs, the depth-first
-search runs on an explicit stack rather than by recursion, and the
-unassigned variables are kept in one bitset per remaining domain size, so
-picking the next variable needs no scan.  None of this changes the search
-order (fewest candidates first, lowest id on ties), so node and backtrack
-counts are those of a plain recursive search.
+* a row difference has lift index ``(k_a - k_b - delta_i) mod 3``;
+* a weak sum has lift index ``(k_a + k_b + sigma_i) mod 3``;
+* a colour entry is ``k_a`` itself;
+
+where ``delta`` and ``sigma`` are the table's carries.  A zero-forbidding
+group excludes lift index 0, which is the element 0.  A scenario is an
+encode/decode map at the boundary: it fixes the order in which the search
+tries the lifts, and :func:`solve` decodes each solution into the
+scenario's discriminators ``f(c_j + k_j*m)``.
+
+:func:`solve` runs chronological backtracking with forward checking.
+``unsat`` is reported only after the search space is exhausted; running out
+of budget is a distinct ``aborted`` outcome.
+
+The search kernel is table-driven: every term reads its lift index from a
+shared 3x3 lookup table, the depth-first search runs on an explicit stack
+rather than by recursion, and the unassigned variables are kept in one
+bitset per remaining domain size, so picking the next variable needs no
+scan.  None of this changes the search order (fewest candidates first,
+lowest id on ties), so node and backtrack counts are those of a plain
+recursive search.
 
 Variable numbering: position ``<i, l>`` of the table (pair ``i``, component
 ``l``) is variable ``2*i + l``, so ``U_i`` is even and ``V_i`` odd.
@@ -25,15 +38,18 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import BudgetExceeded, InvalidInput, ScenarioMismatch
 from .tables import TriplicationTable, validate
+
+if TYPE_CHECKING:
+    from .scenarios import Scenario
 
 __all__ = [
     "CongruityReport",
     "CongruousTable",
     "ConstraintGroup",
-    "Expr",
     "MspInstance",
     "SolveOutcome",
     "SolveStats",
@@ -45,55 +61,46 @@ __all__ = [
     "solve",
 ]
 
-VAR, DIFF, SUM = 0, 1, 2
-
-
-@dataclass(frozen=True)
-class Expr:
-    """An atomic quantity constrained by a group.
-
-    ``op == VAR``: the value of variable ``idx``.
-    ``op == DIFF``: ``(U_i - V_i + adj) mod r`` for pair ``i = idx``.
-    ``op == SUM``: ``(U_i + V_i + adj) mod r`` for pair ``i = idx``.
-
-    ``adj`` carries the precomputed carry correction (``-delta_i`` or
-    ``+sigma_i``) in the carry scenario and is 0 otherwise.
-    """
-
-    op: int
-    idx: int
-    adj: int = 0
-
-    def variables(self) -> tuple[int, ...]:
-        if self.op == VAR:
-            return (self.idx,)
-        return (2 * self.idx, 2 * self.idx + 1)
+#: A colour term's value is its lift index.
+_LIFT = (0, 1, 2)
+#: Lift index of a pair term, ``tab[3*k_a + k_b]``: ``_DIFF[delta]`` for a
+#: row difference, ``_SUM[sigma]`` for a weak sum.
+_DIFF = tuple(tuple((a - b - c) % 3 for a in _LIFT for b in _LIFT) for c in (0, 1))
+_SUM = tuple(tuple((a + b + c) % 3 for a in _LIFT for b in _LIFT) for c in (0, 1))
 
 
 @dataclass(frozen=True)
 class ConstraintGroup:
-    """All expressions pairwise distinct; if ``forbid_zero``, also nonzero."""
+    """Terms over lift indices, pairwise distinct; if ``forbid_zero``, also
+    nonzero.
+
+    A term is ``(a, b, tab)``.  A pair term (``b >= 0``) has the value
+    ``tab[3*k_a + k_b]``; a colour term (``b == -1``) has ``tab[k_a]``.
+    """
 
     label: str
-    exprs: tuple[Expr, ...]
+    terms: tuple[tuple[int, int, tuple[int, ...]], ...]
     forbid_zero: bool
 
 
 @dataclass(frozen=True)
 class MspInstance:
-    m: int
-    kind: str
-    r: int
-    domains: tuple[tuple[int, ...], ...]
+    """A table compiled over lift indices: unknown ``j`` stands for
+    ``residues[j] + k*m``.  ``lift_order`` is the order in which the search
+    tries the lifts by default, the order of the scenario's discriminators."""
+
+    scenario: Scenario
+    residues: tuple[int, ...]
+    lift_order: tuple[int, int, int]
     groups: tuple[ConstraintGroup, ...]
 
     @property
     def n_vars(self) -> int:
-        return len(self.domains)
+        return len(self.residues)
 
     @property
     def n_pairs(self) -> int:
-        return len(self.domains) // 2
+        return len(self.residues) // 2
 
 
 @dataclass(frozen=True)
@@ -125,54 +132,45 @@ class SolveOutcome:
 
 
 def compile_instance(tt: TriplicationTable, sc) -> MspInstance:
-    """Compile ``tt`` under scenario ``sc`` into a 3-valued instance.
+    """Compile ``tt`` into a 3-valued instance over lift indices.
 
-    Domains come from the scenario (three candidates per position), which
-    realizes the range and consistency constraints structurally; the
-    remaining constraints are emitted as distinctness groups.
+    Three lifts per position realize the range and consistency constraints
+    structurally; the remaining constraints are emitted as distinctness
+    groups.  The instance is the same for every scenario but for its value
+    order and the decoding of its solutions.
     """
     if sc.m != tt.m:
         raise ScenarioMismatch(f"scenario modulus {sc.m} != table order {tt.m}")
-    domains: list[tuple[int, ...]] = []
-    for u, v in tt.pairs:
-        domains.append(sc.variable_domain(u))
-        domains.append(sc.variable_domain(v))
-
     carries = tt.carry_tables
-    if sc.kind == "carry":
-        dadj = tuple(-d for d in carries.delta)
-        sadj = carries.sigma
-    else:
-        dadj = (0,) * len(tt.pairs)
-        sadj = (0,) * len(tt.pairs)
+    rows = [(2 * i, 2 * i + 1, _DIFF[d]) for i, d in enumerate(carries.delta)]
+    sums = [(2 * i, 2 * i + 1, _SUM[s]) for i, s in enumerate(carries.sigma)]
 
-    groups: list[ConstraintGroup] = [
-        ConstraintGroup("row0", (Expr(DIFF, 0, dadj[0]),), True)
-    ]
+    groups: list[ConstraintGroup] = [ConstraintGroup("row0", (rows[0],), True)]
     for d in range(1, tt.q + 1):
         groups.append(
-            ConstraintGroup(
-                f"row{d}",
-                tuple(Expr(DIFF, i, dadj[i]) for i in range(3 * d - 2, 3 * d + 1)),
-                False,
-            )
+            ConstraintGroup(f"row{d}", tuple(rows[3 * d - 2 : 3 * d + 1]), False)
         )
     for s, idx in tt.weak_sets.by_sum.items():
         groups.append(
-            ConstraintGroup(
-                f"weak{s}", tuple(Expr(SUM, i, sadj[i]) for i in idx), s == 0
-            )
+            ConstraintGroup(f"weak{s}", tuple(sums[i] for i in idx), s == 0)
         )
     for c, positions in tt.monochrome_sets.items():
         groups.append(
             ConstraintGroup(
                 f"color{c}",
-                tuple(Expr(VAR, 2 * i + l) for i, l in positions),
+                tuple((2 * i + l, -1, _LIFT) for i, l in positions),
                 c == 0,
             )
         )
+    # Lifts in the order of the scenario's discriminators: under mod, lift k
+    # of residue c encodes to (c + s * 3^nu) mod 3^(nu+1) with s = k*p mod 3
+    # (p the 3-free part of m); under carry, to k itself.
+    lift_order = (0, 2, 1) if sc.kind == "mod" and sc.p % 3 == 2 else (0, 1, 2)
     return MspInstance(
-        m=tt.m, kind=sc.kind, r=sc.r, domains=tuple(domains), groups=tuple(groups)
+        scenario=sc,
+        residues=tuple(c for pair in tt.pairs for c in pair),
+        lift_order=lift_order,
+        groups=tuple(groups),
     )
 
 
@@ -180,22 +178,23 @@ _POPCOUNT = (0, 1, 1, 2, 1, 2, 2, 3)
 
 
 class _Search:
-    """Backtracking with forward checking over 3-value selector domains.
+    """Backtracking with forward checking over lift-index domains.
 
     Variable order: fewest remaining candidates first, ties broken by lowest
-    variable id.  Value order: domain order, or a per-variable seeded shuffle
-    when sampling.  Deterministic for a fixed seed.
+    variable id.  Value order: the instance's ``lift_order``, or a
+    per-variable seeded shuffle of it when sampling.  Deterministic for a
+    fixed seed.
 
-    The kernel is table-driven.  Each expression is compiled once into a
-    plain tuple ``(a, b, tab)``: a variable is ``(v, -1, domains[v])`` and a
-    pair expression is ``(2i, 2i+1, tab)`` with ``tab[3*sa + sb]`` its value
-    for selectors ``sa`` and ``sb``.  A group's values seen so far are an int
-    bitmask, and a zero-forbidding group starts with bit 0 set.  The search
-    runs on an explicit stack of ``[var, next value index, trail mark]``
-    frames, so its depth is not bounded by the interpreter's recursion
-    limit.  ``buckets[k]`` is a bitset of the unassigned variables with
-    ``k`` candidates left, kept current on every assign, prune and restore,
-    so selection is the lowest set bit of the first non-empty bucket.
+    The kernel reads the instance's terms as they are: a colour term is
+    ``(v, -1, tab)`` with ``tab[k_v]`` its value and a pair term is
+    ``(2i, 2i+1, tab)`` with ``tab[3*k_a + k_b]`` its value, all in ``Z_3``.
+    A group's values seen so far are a 3-bit mask, and a zero-forbidding
+    group starts with bit 0 set.  The search runs on an explicit stack of
+    ``[var, next value index, trail mark]`` frames, so its depth is not
+    bounded by the interpreter's recursion limit.  ``buckets[k]`` is a
+    bitset of the unassigned variables with ``k`` candidates left, kept
+    current on every assign, prune and restore, so selection is the lowest
+    set bit of the first non-empty bucket.
 
     Forward checking prunes only against values of assigned variables, so
     its result does not depend on the order in which groups are visited.
@@ -206,40 +205,26 @@ class _Search:
 
     def __init__(self, inst: MspInstance, seed=None):
         nv = inst.n_vars
-        r = inst.r
-        doms = inst.domains
         self.assign = [-1] * nv
         self.domain = [0b111] * nv
         groups: list[list[tuple]] = [[] for _ in range(nv)]
         for g in inst.groups:
-            exprs = []
-            for e in g.exprs:
-                if e.op == VAR:
-                    v = e.idx
-                    exprs.append((v, -1, doms[v]))
-                    if g.forbid_zero:
-                        # Selectors that map a zero-forbidding single
-                        # variable to 0 go before the search starts.
-                        for sel in (0, 1, 2):
-                            if doms[v][sel] == 0:
-                                self.domain[v] &= ~(1 << sel)
-                    continue
-                a, b = 2 * e.idx, 2 * e.idx + 1
-                sign = 1 if e.op == SUM else -1
-                tab = tuple(
-                    (x + sign * y + e.adj) % r for x in doms[a] for y in doms[b]
-                )
-                exprs.append((a, b, tab))
-            group = (tuple(exprs), 1 if g.forbid_zero else 0)
-            for v in {v for e in g.exprs for v in e.variables()}:
-                groups[v].append(group)
+            group = (g.terms, int(g.forbid_zero))
+            for a, b, _ in g.terms:
+                groups[a].append(group)
+                if b >= 0:
+                    groups[b].append(group)
+                elif g.forbid_zero:
+                    # A zero-forbidding colour entry never takes lift 0.
+                    self.domain[a] &= 0b110
         self.var_groups = [tuple(gs) for gs in groups]
+        order = inst.lift_order
         if seed is None:
-            self.value_order = [(0, 1, 2)] * nv
+            self.value_order = [order] * nv
         else:
             rng = random.Random(seed)
             self.value_order = [
-                tuple(rng.sample((0, 1, 2), 3)) for _ in range(nv)
+                tuple(order[s] for s in rng.sample((0, 1, 2), 3)) for _ in range(nv)
             ]
         self.trail: list[tuple[int, int]] = []
         self.nodes = 0
@@ -252,11 +237,11 @@ class _Search:
         assign, domain, trail, buckets = (
             self.assign, self.domain, self.trail, self.buckets
         )
-        for exprs, seen in self.var_groups[var]:
+        for terms, seen in self.var_groups[var]:
             # (unassigned variable, tab, offset, stride): its value under
-            # selector ``sel`` is ``tab[offset + stride*sel]``.
+            # lift ``k`` is ``tab[offset + stride*k]``.
             pending = []
-            for a, b, tab in exprs:
+            for a, b, tab in terms:
                 sa = assign[a]
                 if b < 0:
                     if sa < 0:
@@ -352,15 +337,12 @@ class _Search:
             descend = self._propagate(var)
 
 
-def _table_from_assignment(inst: MspInstance, selectors: tuple[int, ...]) -> CongruousTable:
-    values = tuple(
-        (
-            inst.domains[2 * i][selectors[2 * i]],
-            inst.domains[2 * i + 1][selectors[2 * i + 1]],
-        )
-        for i in range(inst.n_pairs)
+def _table_from_assignment(inst: MspInstance, lifts: tuple[int, ...]) -> CongruousTable:
+    sc = inst.scenario
+    codes = [sc.f(c + k * sc.m) for c, k in zip(inst.residues, lifts)]
+    return CongruousTable(
+        kind=sc.kind, r=sc.r, values=tuple(zip(codes[::2], codes[1::2]))
     )
-    return CongruousTable(kind=inst.kind, r=inst.r, values=values)
 
 
 def solve(

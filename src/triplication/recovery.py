@@ -23,7 +23,7 @@ from .errors import (
 )
 from .msp import CongruousTable, check_congruous
 from .pairings import Pairing, StarterKind, classify, modinv
-from .tables import TriplicationTable, arrange_strong_starter, validate
+from .tables import TriplicationTable, _arrange, validate
 
 __all__ = [
     "crt_general",
@@ -104,13 +104,14 @@ def round_trip(s: Pairing, sc) -> tuple[TriplicationTable, CongruousTable]:
     :func:`recover_starter` on the result returns the arranged pairing, which
     equals ``s`` as a set of unordered pairs.
     """
-    if classify(s).kind != StarterKind.STRONG_STARTER:
-        raise InputNotStrongStarter(f"classify: {classify(s)}")
+    outcome = classify(s)
+    if outcome.kind != StarterKind.STRONG_STARTER:
+        raise InputNotStrongStarter(f"classify: {outcome}")
     if s.modulus != 3 * sc.m:
         raise ScenarioMismatch(
             f"starter order {s.modulus} does not match scenario order {3 * sc.m}"
         )
-    arranged = arrange_strong_starter(s)
+    arranged = _arrange(s)
     m = sc.m
     tt = validate([(x % m, y % m) for x, y in arranged.pairs], m)
     ct = CongruousTable(

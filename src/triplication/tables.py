@@ -215,8 +215,15 @@ def arrange_strong_starter(s: Pairing) -> Pairing:
     ``+d``, and sorted within each group by their reduced pair.  Reducing the
     result mod ``m`` yields a valid triplication table.
     """
-    if classify(s).kind != StarterKind.STRONG_STARTER:
-        raise InputNotStrongStarter(f"classify: {classify(s)}")
+    outcome = classify(s)
+    if outcome.kind != StarterKind.STRONG_STARTER:
+        raise InputNotStrongStarter(f"classify: {outcome}")
+    return _arrange(s)
+
+
+def _arrange(s: Pairing) -> Pairing:
+    """:func:`arrange_strong_starter` for a starter already classified
+    strong."""
     n = s.modulus
     if n % 3 != 0:
         raise InvalidInput(f"order {n} is not divisible by 3")

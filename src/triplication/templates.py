@@ -49,6 +49,7 @@ __all__ = [
     "one_starter_table",
     "patterned_starter",
     "template_base_from_spec",
+    "template_table",
     "three_starter_table",
 ]
 
@@ -117,8 +118,9 @@ def _align_bases(t0: Pairing, t1: Pairing, t2: Pairing) -> tuple[Pairing, ...]:
 
 def _checked_base(t0: Pairing, t1: Pairing, t2: Pairing) -> tuple[Pairing, ...]:
     t0, t1, t2 = _align_bases(t0, t1, t2)
-    if classify(t0).kind < StarterKind.STARTER:
-        raise InvalidInput(f"T0 is not a starter: {classify(t0).witness}")
+    outcome = classify(t0)
+    if outcome.kind < StarterKind.STARTER:
+        raise InvalidInput(f"T0 is not a starter: {outcome.witness}")
     if not is_special_pair(t1, t2):
         raise SpecialPairViolation(
             "components of (T1, T2) do not cover Z_m^* exactly twice"
@@ -175,12 +177,25 @@ def admissible_keys(t0: Pairing, t1: Pairing, t2: Pairing) -> frozenset[int]:
     return frozenset(good)
 
 
+def template_table(
+    t0: Pairing, t1: Pairing, t2: Pairing, key: int
+) -> TriplicationTable:
+    """The template of one key, built once and validated as a table.
+
+    Raises :class:`KeyNotAdmissible` when ``key`` is not admissible: outside
+    ``1..m-1``, or duplicating a pair in the template.
+    """
+    t0, t1, t2 = _checked_base(t0, t1, t2)
+    m = t0.modulus
+    pairs = _emit(t0, t1, t2, key)
+    if not 1 <= key < m or len(set(pairs)) != len(pairs):
+        raise KeyNotAdmissible(f"key {key} duplicates a pair in the template")
+    return validate(pairs, m)
+
+
 def one_starter_table(t: Pairing, key: int) -> TriplicationTable:
     """Table built from a single ordered starter: ``(T, T, T')`` plus key."""
-    base = (t, t, conjugate(t))
-    if key not in admissible_keys(*base):
-        raise KeyNotAdmissible(f"key {key} duplicates a pair in the template")
-    return validate(build_template(*base, key), t.modulus)
+    return template_table(t, t, conjugate(t), key)
 
 
 def three_starter_table(
@@ -192,11 +207,10 @@ def three_starter_table(
     pair) and must differ; a shared pair forces an empty key set.
     """
     for label, t in (("T1", t1), ("T2", t2)):
-        if classify(t).kind < StarterKind.STARTER:
-            raise InvalidInput(f"{label} is not a starter: {classify(t).witness}")
-    if key not in admissible_keys(t0, t1, t2):
-        raise KeyNotAdmissible(f"key {key} duplicates a pair in the template")
-    return validate(build_template(t0, t1, t2, key), t0.modulus)
+        outcome = classify(t)
+        if outcome.kind < StarterKind.STARTER:
+            raise InvalidInput(f"{label} is not a starter: {outcome.witness}")
+    return template_table(t0, t1, t2, key)
 
 
 def epicycloidal(m: int, mu: int) -> Pairing:

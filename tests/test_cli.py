@@ -211,6 +211,29 @@ def test_batch_fixed_table_records_unsat(tmp_path):
     assert records[0]["index"] == "fixed:tt.json"
 
 
+def test_batch_fixed_table_without_order_exits_4(tmp_path, capsys):
+    doc = table_to_json(validate(golden.UNSOLVABLE_11, 11))
+    del doc["m"]
+    path = write_json(tmp_path / "tt.json", doc)
+    code = run(["batch", "--samples", 1, "--fixed-tt", path, "--outdir", tmp_path])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_batch_invalid_fixed_table_with_workers_exits_4(tmp_path, capsys):
+    doc = table_to_json(validate(golden.UNSOLVABLE_11, 11))
+    doc["rows"][1][0] = doc["rows"][1][1]  # a duplicated pair
+    path = write_json(tmp_path / "tt.json", doc)
+    code = run(["batch", "--orders", 5, "--samples", 2, "--workers", 2,
+                "--fixed-tt", path, "--outdir", tmp_path])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: clause (i)") and "Traceback" not in err
+    # rejected before any job ran
+    assert not (tmp_path / "batch_log.jsonl").exists()
+
+
 def test_batch_records_sampler_budget_abort(tmp_path, capsys, monkeypatch):
     import triplication.cli as cli
     from triplication import BudgetExceeded

@@ -58,11 +58,12 @@ def test_compile_variable_count_and_domains():
     sc = Scenario("mod", 15)
     inst = compile_instance(tt, sc)
     assert inst.n_vars == 44 and inst.n_pairs == 22
-    # every candidate keeps the residue of its position mod 3
+    # every candidate discriminator keeps the residue of its position mod 3
     for i, (u, v) in enumerate(tt.pairs):
+        assert inst.residues[2 * i : 2 * i + 2] == (u, v)
         mu, mv = golden.TABLE_15_KEY4_COMPAT[i]
-        assert all(val % 3 == mu for val in inst.domains[2 * i])
-        assert all(val % 3 == mv for val in inst.domains[2 * i + 1])
+        assert all(val % 3 == mu for val in sc.variable_domain(u))
+        assert all(val % 3 == mv for val in sc.variable_domain(v))
 
 
 def test_compile_group_census():
@@ -149,6 +150,24 @@ def test_search_counters_are_pinned(kind):
     if kind == "carry":
         got = [(tt.m, o.stats.nodes, o.stats.backtracks) for tt, o in chain_tables(2)]
         assert got == [(7, 24, 4), (21, 62, 0)]
+    if kind == "mod":
+        # m = 11 has 3-free part p = 11 = 2 (mod 3): the mod discriminators
+        # list the lifts of a residue in the order 0, 2, 1, and so must the
+        # search, plain and seeded.
+        inst = compile_instance(random_tt(11, 0), Scenario("mod", 11))
+        for seed, expected, first in (
+            (None, (103, 71), (
+                (1, 2), (0, 2), (2, 2), (2, 0), (1, 0), (1, 1), (1, 2), (1, 0),
+                (0, 1), (1, 1), (0, 1), (0, 2), (0, 0), (0, 2), (1, 2), (2, 2),
+            )),
+            (3, (133, 101), (
+                (1, 0), (2, 2), (0, 2), (1, 2), (0, 0), (1, 0), (2, 0), (1, 2),
+                (1, 1), (1, 0), (1, 1), (1, 0), (1, 2), (2, 2), (0, 2), (2, 0),
+            )),
+        ):
+            out = solve(inst, mode="first", seed=seed)
+            assert (out.stats.nodes, out.stats.backtracks) == expected
+            assert out.tables[0].values == first
 
 
 def test_search_depth_is_not_bounded_by_recursion_limit():
