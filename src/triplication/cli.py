@@ -8,10 +8,13 @@ Subcommands:
 * ``keys``: report the admissible key set of a template base.
 * ``verify``: classify a starter file or validate a table file.
 * ``batch``: sample random tables, solve each, and keep a resumable
-  line-delimited log plus an aggregate summary.
+  line-delimited log plus an aggregate summary.  Orders and table files are
+  checked before any job runs.  A job whose error is a ``TriplicationError``
+  is logged as ``outcome: "error"`` and the batch goes on.
 
 Exit codes: 0 success/valid, 2 unsatisfiable, 3 budget exhausted,
-4 invalid input, 5 internal verification failure.
+4 invalid input, 5 internal verification failure.  ``batch`` exits with the
+worst code of the error records in its log, else 0.
 """
 
 from __future__ import annotations
@@ -22,13 +25,9 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
-from .errors import (
-    BudgetExceeded,
-    InternalVerificationFailure,
-    KeyNotAdmissible,
-    TriplicationError,
-)
+from .errors import BudgetExceeded, InvalidInput, KeyNotAdmissible, TriplicationError
 from .msp import compile_instance, random_tt, solution_to_json, solve
 from .pairings import Pairing, classify, pairing_from_json
 from .recovery import recover_starter, starter_from_json, starter_to_json
@@ -43,6 +42,17 @@ EXIT_INVALID = 4
 EXIT_INTERNAL = 5
 
 SUBCOMMANDS = ("build", "keys", "verify", "batch")
+
+# Exit code and message prefix of an error, by exception class name (the
+# form ``batch`` logs it in); any other error is invalid input.
+_EXITS = {
+    "BudgetExceeded": (EXIT_ABORTED, "aborted"),
+    "InternalVerificationFailure": (EXIT_INTERNAL, "internal verification failure"),
+}
+
+
+def _exit_for(error: str) -> tuple[int, str]:
+    return _EXITS.get(error, (EXIT_INVALID, "error"))
 
 
 def parse_pair_list(text: str, m: int) -> Pairing:
@@ -170,51 +180,47 @@ def _batch_job(job: tuple) -> dict:
     kind, m, index, seed, scenario_kind, budget, tt = job
     t0 = time.perf_counter()
     record = {"m": m, "index": index, "seed": seed, "scenario": scenario_kind}
-    if kind == "random":
-        try:
+    try:
+        if kind == "random":
             tt = random_tt(m, seed=seed)
-        except BudgetExceeded as exc:
-            record.update(
-                outcome="sample_aborted",
-                message=str(exc),
-                elapsed=round(time.perf_counter() - t0, 6),
-            )
-            return record
-        record["tt"] = table_to_json(tt)
-    sc = Scenario(scenario_kind, tt.m)
-    outcome = solve(compile_instance(tt, sc), mode="first", budget=budget)
-    record.update(
-        outcome=outcome.status,
-        nodes=outcome.stats.nodes,
-        backtracks=outcome.stats.backtracks,
-        elapsed=round(time.perf_counter() - t0, 6),
-    )
-    if outcome.status == "solution":
-        starter = recover_starter(tt, outcome.tables[0], sc)
-        record["order"] = starter.modulus
-        record["starter"] = [list(p) for p in starter.pairs]
+            record["tt"] = table_to_json(tt)
+        sc = Scenario(scenario_kind, tt.m)
+        outcome = solve(compile_instance(tt, sc), mode="first", budget=budget)
+        record.update(
+            outcome=outcome.status,
+            nodes=outcome.stats.nodes,
+            backtracks=outcome.stats.backtracks,
+            elapsed=round(time.perf_counter() - t0, 6),
+        )
+        if outcome.status == "solution":
+            starter = recover_starter(tt, outcome.tables[0], sc)
+            record["order"] = starter.modulus
+            record["starter"] = [list(p) for p in starter.pairs]
+    except TriplicationError as exc:
+        # ``tt`` is still None only when the sampler raised.
+        if tt is None and isinstance(exc, BudgetExceeded):
+            record["outcome"] = "sample_aborted"
+        else:
+            record.update(outcome="error", error=type(exc).__name__)
+        record.update(message=str(exc), elapsed=round(time.perf_counter() - t0, 6))
     return record
 
 
-def _finished_jobs(log_path: str) -> set:
-    """``(m, index)`` of every job recorded in the log.
+def _read_log(log_path: str) -> list[dict]:
+    """Every record in the log.
 
     A last line without its newline was cut short by a crash mid-write: it
     is cut off the file, so that its job runs again.  Any other line that
     does not parse raises.
     """
     if not os.path.exists(log_path):
-        return set()
+        return []
     with open(log_path, "rb+") as fh:
         data = fh.read()
         *lines, partial = data.split(b"\n")
         if partial:
             fh.truncate(len(data) - len(partial))
-    done = set()
-    for line in lines:
-        rec = json.loads(line)
-        done.add((rec["m"], rec["index"]))
-    return done
+    return [json.loads(line) for line in lines]
 
 
 def cmd_batch(args) -> int:
@@ -223,54 +229,51 @@ def cmd_batch(args) -> int:
         raise SystemExit("sample count must be >= 1")
     if args.budget is not None and args.budget <= 0:
         raise SystemExit("budget must be positive")
+    # Orders and table files are checked here, before any job runs, so that
+    # bad input ends the run with an error instead of failing inside a job.
+    for m in orders:
+        if m < 5 or m % 2 == 0:
+            raise InvalidInput(f"order must be odd and >= 5, got {m}")
+    fixed = []
+    for path in args.fixed_tt or []:
+        with open(path) as fh:
+            tt = table_from_json(json.load(fh))
+        fixed.append((f"fixed:{os.path.basename(path)}", tt))
     outdir = _outdir(args)
     log_path = os.path.join(outdir, "batch_log.jsonl")
 
-    done = _finished_jobs(log_path)
+    records = _read_log(log_path)
+    done = {(rec["m"], rec["index"]) for rec in records}
+    jobs = [
+        ("random", m, index, args.seed * 1_000_003 + m * 1009 + index,
+         args.scenario, args.budget, None)
+        for m in orders
+        for index in range(args.samples)
+        if (m, index) not in done
+    ]
+    jobs += [
+        ("fixed", tt.m, index, args.seed, args.scenario, args.budget, tt)
+        for index, tt in fixed
+        if (tt.m, index) not in done
+    ]
 
-    jobs = []
-    for m in orders:
-        for index in range(args.samples):
-            if (m, index) in done:
-                continue
-            job_seed = args.seed * 1_000_003 + m * 1009 + index
-            jobs.append(
-                ("random", m, index, job_seed, args.scenario, args.budget, None)
-            )
-    for path in args.fixed_tt or []:
-        # Validated here, before any job runs, so that a bad file ends the
-        # run with an error instead of failing inside a job.
-        with open(path) as fh:
-            tt = table_from_json(json.load(fh))
-        index = f"fixed:{os.path.basename(path)}"
-        if (tt.m, index) in done:
-            continue
-        jobs.append(("fixed", tt.m, index, args.seed, args.scenario, args.budget, tt))
-
-    with open(log_path, "a") as log:
-        if args.workers > 1 and jobs:
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                for record in pool.map(_batch_job, jobs):
-                    log.write(json.dumps(record) + "\n")
-                    log.flush()
-        else:
-            for job in jobs:
-                record = _batch_job(job)
-                log.write(json.dumps(record) + "\n")
-                log.flush()
+    pool = ProcessPoolExecutor(args.workers) if args.workers > 1 and jobs else None
+    with open(log_path, "a") as log, pool or nullcontext():
+        for record in (pool.map if pool else map)(_batch_job, jobs):
+            log.write(json.dumps(record) + "\n")
+            log.flush()
+            records.append(record)
 
     # Aggregate the full log (including earlier runs being resumed).
     summary: dict[str, dict] = {}
-    with open(log_path) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            bucket = summary.setdefault(
-                str(rec["m"]),
-                {"N": 0, "N_unsat": 0, "N_aborted": 0, "N_sample_aborted": 0},
-            )
-            bucket["N"] += 1
-            if rec["outcome"] in ("unsat", "aborted", "sample_aborted"):
-                bucket["N_" + rec["outcome"]] += 1
+    for rec in records:
+        bucket = summary.setdefault(
+            str(rec["m"]),
+            {"N": 0, "N_unsat": 0, "N_aborted": 0, "N_sample_aborted": 0, "N_error": 0},
+        )
+        bucket["N"] += 1
+        if rec["outcome"] != "solution":
+            bucket["N_" + rec["outcome"]] += 1
     summary_path = os.path.join(outdir, "batch_summary.json")
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -278,10 +281,11 @@ def cmd_batch(args) -> int:
         print(
             f"m={m}: N={bucket['N']} unsat={bucket['N_unsat']} "
             f"aborted={bucket['N_aborted']} "
-            f"sample_aborted={bucket['N_sample_aborted']}"
+            f"sample_aborted={bucket['N_sample_aborted']} error={bucket['N_error']}"
         )
     print(f"log: {log_path}\nsummary: {summary_path}")
-    return EXIT_OK
+    errors = [_exit_for(rec["error"])[0] for rec in records if rec["outcome"] == "error"]
+    return max(errors, default=EXIT_OK)
 
 
 def _add_template_flags(p: argparse.ArgumentParser) -> None:
@@ -344,15 +348,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceeded as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return EXIT_ABORTED
-    except InternalVerificationFailure as exc:
-        print(f"internal verification failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except (TriplicationError, OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        code, prefix = _exit_for(type(exc).__name__)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

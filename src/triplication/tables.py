@@ -131,6 +131,14 @@ class TriplicationTable:
         return CarryTables(delta=delta, sigma=sigma)
 
 
+def _check_sums(pairs: tuple[Pair, ...], m: int) -> None:
+    """Check clause (iii): at most 3 pairs share a nonzero sum, 2 sum 0."""
+    for s, k in Counter((u + v) % m for u, v in pairs).items():
+        cap = 2 if s == 0 else 3
+        if k > cap:
+            raise NotATable("iii", f"sum {s} occurs {k} times, at most {cap} allowed")
+
+
 def _check_clauses(pairs: tuple[Pair, ...], m: int) -> tuple[int, ...]:
     """Check clauses (i)-(iv) in order; return the per-row signs."""
     q = (m - 1) // 2
@@ -160,11 +168,7 @@ def _check_clauses(pairs: tuple[Pair, ...], m: int) -> tuple[int, ...]:
             )
         signs.append(1 if diffs[0] == d % m else -1)
 
-    sum_counts = Counter((u + v) % m for u, v in pairs)
-    for s, k in sum_counts.items():
-        cap = 2 if s == 0 else 3
-        if k > cap:
-            raise NotATable("iii", f"sum {s} occurs {k} times, at most {cap} allowed")
+    _check_sums(pairs, m)
 
     seen: dict[Pair, int] = {}
     for i, pair in enumerate(pairs):

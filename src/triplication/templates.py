@@ -7,9 +7,12 @@ template holds
 
     ``(x_i^0, y_i^0)   (t + x_i^1, t + y_i^1)   (t + x_i^2, t + y_i^2)``
 
-with the special pair ``(t, t)`` on top.  A template always satisfies table
-clauses (i)-(iii); a key is *admissible* when clause (iv) (no duplicate
-pairs) holds too, making the template a triplication table.
+with the special pair ``(t, t)`` on top.  A template satisfies table
+clauses (i) and (ii) by construction.  Clause (iii) can fail for a base with
+repeated sums, such as the non-strong order-11 starter
+``1,4;2,7;3,5;6,10;8,9`` in one-starter mode.  A key is *admissible* when
+clause (iv) (no duplicate pairs) holds; its template is a triplication table
+when clause (iii) holds as well.
 
 Specializations:
 
@@ -37,8 +40,9 @@ from .pairings import (
     classify,
     conjugate,
     modinv,
+    normalize_ordered,
 )
-from .tables import TriplicationTable, validate
+from .tables import TriplicationTable, _check_sums, validate
 
 __all__ = [
     "admissible_keys",
@@ -142,8 +146,9 @@ def build_template(t0: Pairing, t1: Pairing, t2: Pairing, key: int) -> tuple[Pai
     """Instantiate the template; returns the raw ``3q + 1`` pairs.
 
     Requires ``t0`` to be a starter and ``(t1, t2)`` a special pair; the key
-    must be nonzero.  Clauses (i)-(iii) hold for the result by construction
-    (asserted); clause (iv) may fail, so the result is not necessarily a
+    must be nonzero.  Clauses (i) and (ii) hold for the result by
+    construction.  Clause (iii) is checked and raises :class:`NotATable`
+    naming the sum; clause (iv) may fail, so the result is not necessarily a
     valid table.
     """
     t0, t1, t2 = _checked_base(t0, t1, t2)
@@ -151,13 +156,7 @@ def build_template(t0: Pairing, t1: Pairing, t2: Pairing, key: int) -> tuple[Pai
     if not 1 <= key < m:
         raise InvalidInput(f"key must lie in 1..{m - 1}, got {key}")
     pairs = _emit(t0, t1, t2, key)
-
-    counts = Counter(c for p in pairs for c in p)
-    assert counts[0] == 2 and all(counts[c] == 3 for c in range(1, m))
-    sum_counts = Counter((u + v) % m for u, v in pairs)
-    assert sum_counts[0] <= 2 and all(
-        k <= 3 for s, k in sum_counts.items() if s != 0
-    )
+    _check_sums(pairs, m)
     return tuple(pairs)
 
 
@@ -165,7 +164,9 @@ def admissible_keys(t0: Pairing, t1: Pairing, t2: Pairing) -> frozenset[int]:
     """Keys in ``Z_m^*`` whose template contains no duplicate pair.
 
     Computed by direct duplicate testing for every key; an empty set is a
-    valid answer.
+    valid answer.  Only clause (iv) is tested: for a base with repeated sums
+    an admissible key can still break clause (iii), which
+    :func:`template_table` checks.
     """
     t0, t1, t2 = _checked_base(t0, t1, t2)
     m = t0.modulus
@@ -242,14 +243,7 @@ def patterned_starter(m: int) -> Pairing:
     """
     if m < 3 or m % 2 == 0:
         raise InvalidInput(f"order must be odd and >= 3, got {m}")
-    q = (m - 1) // 2
-    rows: dict[int, Pair] = {}
-    for x in range(1, q + 1):
-        y = m - x
-        d = (y - x) % m
-        c = min(d, m - d)
-        rows[c] = (x, y) if d == c else (y, x)
-    return Pairing(m, tuple(rows[i] for i in sorted(rows)), ordered=True)
+    return normalize_ordered(Pairing(m, ((x, m - x) for x in range(1, (m + 1) // 2))))
 
 
 def template_base_from_spec(spec: dict) -> tuple[Pairing, Pairing, Pairing]:

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import subprocess
 import sys
 
@@ -258,6 +259,75 @@ def test_batch_records_sampler_budget_abort(tmp_path, capsys, monkeypatch):
     summary = json.loads((tmp_path / "batch_summary.json").read_text())
     assert summary["7"]["N"] == 3 and summary["7"]["N_sample_aborted"] == 1
     assert "sample_aborted=1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "error, code", [("InternalVerificationFailure", 5), ("NotCongruous", 4)]
+)
+def test_batch_logs_job_error_and_goes_on(tmp_path, capsys, monkeypatch, error, code):
+    import triplication
+    import triplication.cli as cli
+
+    real_recover = cli.recover_starter
+    calls = []
+
+    def recover_starter(*args):
+        calls.append(args)
+        if len(calls) == 2:  # jobs run in order with one worker
+            raise getattr(triplication, error)("synthetic")
+        return real_recover(*args)
+
+    monkeypatch.setattr(cli, "recover_starter", recover_starter)
+    args = ["batch", "--orders", "7", "--samples", 3, "--outdir", tmp_path]
+    assert run(args) == code
+    log = tmp_path / "batch_log.jsonl"
+    records = [json.loads(l) for l in log.read_text().splitlines()]
+    assert [r["outcome"] for r in records] == ["solution", "error", "solution"]
+    assert records[1]["error"] == error and records[1]["message"] == "synthetic"
+    assert "tt" in records[1] and "starter" not in records[1]
+    summary = json.loads((tmp_path / "batch_summary.json").read_text())
+    assert summary["7"]["N"] == 3 and summary["7"]["N_error"] == 1
+    out, err = capsys.readouterr()
+    assert "error=1" in out and "Traceback" not in err
+
+    # an error record counts as done on resume, and still sets the exit code
+    assert run(args) == code
+    assert log.read_text().count("\n") == 3
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers see the patched module only when forked",
+)
+def test_batch_workers_pool_logs_job_error(tmp_path, monkeypatch):
+    import triplication.cli as cli
+    from triplication import InternalVerificationFailure
+
+    real_recover = cli.recover_starter
+
+    def recover_starter(tt, ct, sc):
+        if tt.m == 7:
+            raise InternalVerificationFailure("synthetic")
+        return real_recover(tt, ct, sc)
+
+    monkeypatch.setattr(cli, "recover_starter", recover_starter)
+    code = run(["batch", "--orders", "5,7", "--samples", 2, "--workers", 2,
+                "--outdir", tmp_path])
+    assert code == 5
+    records = [
+        json.loads(l) for l in (tmp_path / "batch_log.jsonl").read_text().splitlines()
+    ]
+    assert [(r["m"], r["outcome"]) for r in records] == [
+        (5, "solution"), (5, "solution"), (7, "error"), (7, "error")
+    ]
+
+
+def test_batch_rejects_bad_order_before_any_job(tmp_path, capsys):
+    code = run(["batch", "--orders", "7,4", "--samples", 2, "--outdir", tmp_path])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: order must be odd and >= 5, got 4")
+    assert not (tmp_path / "batch_log.jsonl").exists()
 
 
 def test_batch_resume_redoes_truncated_last_record(tmp_path):

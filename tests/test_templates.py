@@ -6,6 +6,7 @@ from triplication import (
     InvalidInput,
     KeyNotAdmissible,
     MultiplierNotInvertible,
+    NotATable,
     Pairing,
     StarterKind,
     admissible_keys,
@@ -108,6 +109,19 @@ def test_starter_with_itself_is_special_but_keyless():
     t0 = Pairing(7, golden.STARTER_7_A)
     assert is_special_pair(t0, t0)
     assert admissible_keys(t0, t0, t0) == frozenset()
+
+
+def test_template_with_repeated_sums_raises_clause_iii():
+    # a non-strong base can break clause (iii) under a key that clause (iv)
+    # admits; the template reports it instead of asserting
+    s = Pairing(11, ((1, 4), (2, 7), (3, 5), (6, 10), (8, 9)))
+    t = Pairing(7, ((2, 3), (4, 6), (1, 5)))
+    for base, sum_ in (((s, s, conjugate(s)), 8), ((t, t, patterned_starter(7)), 2)):
+        assert 1 in admissible_keys(*base)
+        with pytest.raises(NotATable) as exc:
+            build_template(*base, 1)
+        assert exc.value.clause == "iii"
+        assert f"sum {sum_} occurs 4 times" in exc.value.detail
 
 
 def test_template_preserves_base_orientation():
