@@ -46,14 +46,8 @@ from .pairings import (
     pairing_to_json,
     sums,
 )
-from .recovery import (
-    crt_general,
-    recover_starter,
-    round_trip,
-    starter_from_json,
-    starter_to_json,
-)
-from .scenarios import EncodedElement, Scenario
+from .recovery import recover_starter, round_trip, starter_from_json, starter_to_json
+from .scenarios import EncodedElement, Scenario, crt_general
 from .tables import (
     CarryTables,
     TriplicationTable,

@@ -27,13 +27,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
-from .errors import BudgetExceeded, InvalidInput, KeyNotAdmissible, TriplicationError
+from .errors import BudgetExceeded, InvalidInput, KeyNotAdmissible, NotATable, TriplicationError
 from .msp import compile_instance, random_tt, solution_to_json, solve
 from .pairings import Pairing, classify, pairing_from_json
 from .recovery import recover_starter, starter_from_json, starter_to_json
 from .scenarios import Scenario
 from .tables import render_table, table_from_json, table_to_json
-from .templates import admissible_keys, template_base_from_spec, template_table
+from .templates import admissible_keys, build_template, template_base_from_spec, template_table
 
 EXIT_OK = 0
 EXIT_UNSAT = 2
@@ -146,11 +146,21 @@ def cmd_keys(args) -> int:
     keys = admissible_keys(*base)
     m = base[0].modulus
     print(f"K = {sorted(keys)}  (|K| = {len(keys)})")
+    # Clause (iv) alone admits these keys, but their template repeats a sum.
+    broken = []
+    for t in sorted(keys):
+        try:
+            build_template(*base, t)
+        except NotATable:
+            broken.append(t)
+    if broken:
+        print(f"keys whose template breaks clause (iii): {broken}")
     if args.json:
         doc = {
             "m": m,
             "mode": spec["mode"],
             "admissible": sorted(keys),
+            "clause_iii_fails": broken,
             "per_key": {str(t): (t in keys) for t in range(1, m)},
         }
         with open(args.json, "w") as fh:
@@ -177,11 +187,11 @@ def cmd_verify(args) -> int:
 
 
 def _batch_job(job: tuple) -> dict:
-    kind, m, index, seed, scenario_kind, budget, tt = job
+    m, index, seed, scenario_kind, budget, tt = job
     t0 = time.perf_counter()
     record = {"m": m, "index": index, "seed": seed, "scenario": scenario_kind}
     try:
-        if kind == "random":
+        if tt is None:
             tt = random_tt(m, seed=seed)
             record["tt"] = table_to_json(tt)
         sc = Scenario(scenario_kind, tt.m)
@@ -245,14 +255,14 @@ def cmd_batch(args) -> int:
     records = _read_log(log_path)
     done = {(rec["m"], rec["index"]) for rec in records}
     jobs = [
-        ("random", m, index, args.seed * 1_000_003 + m * 1009 + index,
+        (m, index, args.seed * 1_000_003 + m * 1009 + index,
          args.scenario, args.budget, None)
         for m in orders
         for index in range(args.samples)
         if (m, index) not in done
     ]
     jobs += [
-        ("fixed", tt.m, index, args.seed, args.scenario, args.budget, tt)
+        (tt.m, index, args.seed, args.scenario, args.budget, tt)
         for index, tt in fixed
         if (tt.m, index) not in done
     ]

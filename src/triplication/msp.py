@@ -537,8 +537,7 @@ def solution_from_json(data: dict) -> CongruousTable:
     try:
         kind = data["scenario"]
         r = int(data["r"])
-        rows = data["rows"]
-    except (KeyError, TypeError) as exc:
+        values = tuple((int(a), int(b)) for row in data["rows"] for a, b in row)
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed solution JSON: {exc}") from exc
-    values = tuple((int(a), int(b)) for row in rows for a, b in row)
     return CongruousTable(kind=kind, r=r, values=values)

@@ -61,6 +61,14 @@ def modinv(a: int, n: int) -> int:
     return s % n
 
 
+def _int_pairs(pairs) -> tuple[tuple[int, int], ...]:
+    """``pairs`` as integer pairs; :class:`InvalidInput` for any other shape."""
+    try:
+        return tuple((int(x), int(y)) for x, y in pairs)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"malformed pair list: {exc}") from exc
+
+
 class StarterKind(IntEnum):
     """Classification levels; comparable, strongest has the largest value."""
 
@@ -96,9 +104,7 @@ class Pairing:
         m = self.modulus
         if m < 3 or m % 2 == 0:
             raise InvalidInput(f"modulus must be odd and >= 3, got {m}")
-        object.__setattr__(
-            self, "pairs", tuple((int(x), int(y)) for x, y in self.pairs)
-        )
+        object.__setattr__(self, "pairs", _int_pairs(self.pairs))
         for x, y in self.pairs:
             if not (0 <= x < m and 0 <= y < m):
                 raise InvalidInput(f"component out of range for Z_{m}: ({x}, {y})")
@@ -294,8 +300,8 @@ def pairing_to_json(p: Pairing) -> dict:
 
 def pairing_from_json(data: dict) -> Pairing:
     try:
-        modulus = data["modulus"]
+        modulus = int(data["modulus"])
         pairs = data["pairs"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed pairing JSON: {exc}") from exc
-    return Pairing(int(modulus), tuple((int(x), int(y)) for x, y in pairs))
+    return Pairing(modulus, pairs)

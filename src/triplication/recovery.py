@@ -2,19 +2,16 @@
 
 Given a triplication table over ``Z_m`` and a congruous solution table, every
 component of the sought starter is reconstructed from its residue mod ``m``
-and its discriminator.  In the mod scenario this is a Chinese-remainder lift
-with non-coprime moduli (:func:`crt_general`); in the carry scenario it is
-plain quotient-remainder composition.  The recovered pairing is guaranteed to
-be a strong starter of order ``3m``; it is re-verified anyway, and a failure
-there is reported as an internal bug, never as a user error.
+and its discriminator by :meth:`triplication.scenarios.Scenario.decode` (a
+Chinese-remainder lift in the mod scenario, quotient-remainder composition in
+the carry scenario).  The recovered pairing is guaranteed to be a strong
+starter of order ``3m``; it is re-verified anyway, and a failure there is
+reported as an internal bug, never as a user error.
 """
 
 from __future__ import annotations
 
-import math
-
 from .errors import (
-    IncompatibleResidues,
     InputNotStrongStarter,
     InternalVerificationFailure,
     InvalidInput,
@@ -22,48 +19,15 @@ from .errors import (
     ScenarioMismatch,
 )
 from .msp import CongruousTable, check_congruous
-from .pairings import Pairing, StarterKind, classify, modinv
+from .pairings import Pairing, StarterKind, classify
 from .tables import TriplicationTable, _arrange, validate
 
 __all__ = [
-    "crt_general",
     "recover_starter",
     "round_trip",
     "starter_from_json",
     "starter_to_json",
 ]
-
-
-def crt_general(u: int, m: int, U: int, h: int) -> int:
-    """The unique ``x`` in ``[0, lcm(m, h))`` with ``x = u (mod m)`` and
-    ``x = U (mod h)``.
-
-    The moduli need not be coprime: with ``d = gcd(m, h)`` a solution exists
-    iff ``u = U (mod d)``, otherwise :class:`IncompatibleResidues` is raised.
-    The lift subtracts the shared residue ``u mod d``, divides through by
-    ``d`` (the reduced moduli are coprime), solves the coprime system, and
-    scales back.
-    """
-    if m <= 0 or h <= 0:
-        raise InvalidInput(f"moduli must be positive, got {m} and {h}")
-    u %= m
-    U %= h
-    d = math.gcd(m, h)
-    if (u - U) % d:
-        raise IncompatibleResidues(f"{u} (mod {m}) and {U} (mod {h}) disagree mod {d}")
-    ubar = u % d
-    m1, h1 = m // d, h // d
-    a = ((u - ubar) // d) % m1 if m1 > 1 else 0
-    b = ((U - ubar) // d) % h1 if h1 > 1 else 0
-    # coprime lift of (a mod m1, b mod h1)
-    if m1 == 1:
-        xp = b
-    elif h1 == 1:
-        xp = a
-    else:
-        xp = (a + m1 * (((b - a) * modinv(m1, h1)) % h1)) % (m1 * h1)
-    n = m1 * h  # lcm(m, h)
-    return (ubar + d * xp) % n
 
 
 def recover_starter(tt: TriplicationTable, ct: CongruousTable, sc) -> Pairing:
@@ -138,6 +102,6 @@ def starter_from_json(data: dict) -> Pairing:
     try:
         order = int(data["order"])
         pairs = data["pairs"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed starter JSON: {exc}") from exc
-    return Pairing(order, tuple((int(x), int(y)) for x, y in pairs))
+    return Pairing(order, pairs)

@@ -16,14 +16,47 @@ triplication table yield the same strong starters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 from .errors import IncompatibleResidues, InvalidInput
-from .recovery import crt_general
+from .pairings import modinv
 
-__all__ = ["EncodedElement", "Scenario"]
+__all__ = ["EncodedElement", "Scenario", "crt_general"]
+
+
+def crt_general(u: int, m: int, U: int, h: int) -> int:
+    """The unique ``x`` in ``[0, lcm(m, h))`` with ``x = u (mod m)`` and
+    ``x = U (mod h)``.
+
+    The moduli need not be coprime: with ``d = gcd(m, h)`` a solution exists
+    iff ``u = U (mod d)``, otherwise :class:`IncompatibleResidues` is raised.
+    The lift subtracts the shared residue ``u mod d``, divides through by
+    ``d`` (the reduced moduli are coprime), solves the coprime system, and
+    scales back.
+    """
+    if m <= 0 or h <= 0:
+        raise InvalidInput(f"moduli must be positive, got {m} and {h}")
+    u %= m
+    U %= h
+    d = math.gcd(m, h)
+    if (u - U) % d:
+        raise IncompatibleResidues(f"{u} (mod {m}) and {U} (mod {h}) disagree mod {d}")
+    ubar = u % d
+    m1, h1 = m // d, h // d
+    a = ((u - ubar) // d) % m1 if m1 > 1 else 0
+    b = ((U - ubar) // d) % h1 if h1 > 1 else 0
+    # coprime lift of (a mod m1, b mod h1)
+    if m1 == 1:
+        xp = b
+    elif h1 == 1:
+        xp = a
+    else:
+        xp = (a + m1 * (((b - a) * modinv(m1, h1)) % h1)) % (m1 * h1)
+    n = m1 * h  # lcm(m, h)
+    return (ubar + d * xp) % n
 
 
 class EncodedElement(NamedTuple):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputNotStrongStarter, InvalidInput, NotATable
-from .pairings import Pairing, StarterKind, classify
+from .pairings import Pairing, StarterKind, classify, _int_pairs
 
 __all__ = [
     "CarryTables",
@@ -185,7 +185,7 @@ def validate(pairs, m: int) -> TriplicationTable:
     Returns the table with derived row signs, or raises :class:`NotATable`
     naming the first failed clause.  Either row sign is accepted.
     """
-    pairs = tuple((int(x), int(y)) for x, y in pairs)
+    pairs = _int_pairs(pairs)
     if m < 3 or m % 2 == 0:
         raise InvalidInput(f"order must be odd and >= 3, got {m}")
     q = (m - 1) // 2
@@ -309,14 +309,15 @@ def table_to_json(tt: TriplicationTable) -> dict:
 def table_from_json(data: dict) -> TriplicationTable:
     try:
         m = int(data["m"])
-        rows = data["rows"]
-    except (KeyError, TypeError) as exc:
+        flat = [p for row in data["rows"] for p in row]
+        key = int(data.get("key", -1))
+        signs = tuple(data.get("signs", ()))
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed table JSON: {exc}") from exc
-    flat = [tuple(p) for row in rows for p in row]
     tt = validate(flat, m)
-    if "key" in data and int(data["key"]) != tt.key:
+    if "key" in data and key != tt.key:
         raise InvalidInput(f"declared key {data['key']} but table has key {tt.key}")
-    if "signs" in data and tuple(data["signs"]) != tt.signs:
+    if "signs" in data and signs != tt.signs:
         raise InvalidInput(
             f"declared signs {data['signs']} but table rows have signs {list(tt.signs)}"
         )

@@ -76,55 +76,40 @@ def is_disjoint(t1: Pairing, t2: Pairing) -> bool:
 
 
 def _align_bases(t0: Pairing, t1: Pairing, t2: Pairing) -> tuple[Pairing, ...]:
-    """Sort each base by difference class and force a shared per-row sign.
-
-    ``t0``'s own orientation wins: rows of ``t1``/``t2`` whose sign differs
-    from ``t0``'s are swapped, preserving printed layouts that use mixed
-    signs.  A base whose difference classes are not exactly ``1..q`` cannot
-    be aligned and is rejected.
-    """
+    """Normalize each base, then swap row ``i`` of all three wherever ``t0``
+    holds that pair the other way round, so ``t0``'s (possibly mixed-sign)
+    orientation wins.  A base that cannot be normalized is named in the error."""
     if not (t0.modulus == t1.modulus == t2.modulus):
         raise InconsistentOrdering("base pairings have different moduli")
     if not (len(t0) == len(t1) == len(t2)):
         raise InconsistentOrdering("base pairings have different lengths")
-    m = t0.modulus
+    bases = []
+    for label, p in (("T0", t0), ("T1", t1), ("T2", t2)):
+        try:
+            bases.append(normalize_ordered(p))
+        except InvalidInput as exc:
+            raise InvalidInput(f"{label}: {exc}") from exc
+    flip = [pair not in t0.pairs for pair in bases[0]]
+    return tuple(
+        Pairing(b.modulus, [p[::-1] if f else p for p, f in zip(b, flip)]) for b in bases
+    )
 
-    def by_class(p: Pairing, label: str) -> dict[int, Pair]:
-        rows: dict[int, Pair] = {}
-        for x, y in p.pairs:
-            d = (y - x) % m
-            if d == 0:
-                raise InvalidInput(f"{label} contains a zero-difference pair")
-            c = min(d, m - d)
-            if c in rows:
-                raise InvalidInput(f"{label} repeats difference class {c}")
-            rows[c] = (x, y)
-        if set(rows) != set(range(1, len(p) + 1)):
-            raise InvalidInput(
-                f"{label} difference classes {sorted(rows)} are not 1..{len(p)}"
-            )
-        return rows
 
-    rows0 = by_class(t0, "T0")
-    aligned = [Pairing(m, tuple(rows0[i] for i in sorted(rows0)))]
-    for label, p in (("T1", t1), ("T2", t2)):
-        rows = by_class(p, label)
-        fixed = []
-        for i in sorted(rows):
-            x, y = rows[i]
-            x0, y0 = rows0[i]
-            sign0 = 1 if (y0 - x0) % m == i else -1
-            sign = 1 if (y - x) % m == i else -1
-            fixed.append((x, y) if sign == sign0 else (y, x))
-        aligned.append(Pairing(m, tuple(fixed)))
-    return tuple(aligned)
+def _require_starters(**bases: Pairing) -> None:
+    for label, t in bases.items():
+        outcome = classify(t)
+        if outcome.kind < StarterKind.STARTER:
+            raise InvalidInput(f"{label} is not a starter: {outcome.witness}")
+
+
+def _three_starters(t0: Pairing, t1: Pairing, t2: Pairing) -> tuple[Pairing, ...]:
+    _require_starters(T1=t1, T2=t2)
+    return t0, t1, t2
 
 
 def _checked_base(t0: Pairing, t1: Pairing, t2: Pairing) -> tuple[Pairing, ...]:
     t0, t1, t2 = _align_bases(t0, t1, t2)
-    outcome = classify(t0)
-    if outcome.kind < StarterKind.STARTER:
-        raise InvalidInput(f"T0 is not a starter: {outcome.witness}")
+    _require_starters(T0=t0)
     if not is_special_pair(t1, t2):
         raise SpecialPairViolation(
             "components of (T1, T2) do not cover Z_m^* exactly twice"
@@ -207,11 +192,7 @@ def three_starter_table(
     ``t1`` and ``t2`` must be starters (two starters always form a special
     pair) and must differ; a shared pair forces an empty key set.
     """
-    for label, t in (("T1", t1), ("T2", t2)):
-        outcome = classify(t)
-        if outcome.kind < StarterKind.STARTER:
-            raise InvalidInput(f"{label} is not a starter: {outcome.witness}")
-    return template_table(t0, t1, t2, key)
+    return template_table(*_three_starters(t0, t1, t2), key)
 
 
 def epicycloidal(m: int, mu: int) -> Pairing:
@@ -250,26 +231,26 @@ def template_base_from_spec(spec: dict) -> tuple[Pairing, Pairing, Pairing]:
     """Resolve a template-spec dict into the base triple ``(T0, T1, T2)``.
 
     ``spec["mode"]`` selects the construction: ``"one-starter"`` needs
-    ``T0``; ``"three-starter"`` needs ``T0``, ``T1``, ``T2``;
+    ``T0``; ``"three-starter"`` needs the starters ``T0``, ``T1``, ``T2``;
     ``"epicycloidal"`` needs ``T0`` and ``mu``.  Pair lists are
     ``[[x, y], ...]`` over ``Z_m``.
     """
     try:
         mode = spec["mode"]
         m = int(spec["m"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed template spec: {exc}") from exc
 
     def take(name: str) -> Pairing:
         if name not in spec or spec[name] is None:
             raise InvalidInput(f"mode {mode!r} requires {name}")
-        return Pairing(m, tuple((int(x), int(y)) for x, y in spec[name]))
+        return Pairing(m, spec[name])
 
     if mode == "one-starter":
         t0 = take("T0")
         return t0, t0, conjugate(t0)
     if mode == "three-starter":
-        return take("T0"), take("T1"), take("T2")
+        return _three_starters(take("T0"), take("T1"), take("T2"))
     if mode == "epicycloidal":
         t0 = take("T0")
         if "mu" not in spec or spec["mu"] is None:

@@ -87,6 +87,18 @@ def test_build_from_spec_file(tmp_path):
     assert json.loads(out.read_text())["order"] == 27
 
 
+def test_build_three_starter_rejects_pseudostarter_base(tmp_path, capsys):
+    # (T1, T2) covers Z_7^* twice, but T1 repeats 2 and T2 repeats 5
+    code = run(
+        ["build", "--mode", "three-starter", "--m", 7, "--T0", "2,3;4,6;1,5",
+         "--T1", "1,2;2,4;3,6", "--T2", "5,6;3,5;1,4", "--key", 3,
+         "--outdir", tmp_path / "out"]
+    )
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: T1 is not a starter")
+    assert not (tmp_path / "out").exists()
+
+
 def test_build_rejects_inadmissible_key(tmp_path):
     code = run(
         ["build", "--mode", "one-starter", "--m", 7, "--T0", "2,3;4,6;5,1",
@@ -135,6 +147,24 @@ def test_keys_empty_set(capsys):
     assert "(|K| = 0)" in capsys.readouterr().out
 
 
+def test_keys_names_keys_whose_template_breaks_clause_iii(tmp_path, capsys):
+    report = tmp_path / "keys.json"
+    code = run(["keys", "--mode", "one-starter", "--m", 11,
+                "--T0", "1,4;2,7;3,5;6,10;8,9", "--json", report])
+    assert code == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == [
+        "K = [1, 2, 3, 4, 7, 10]  (|K| = 6)",
+        "keys whose template breaks clause (iii): [1, 2, 3, 7]",
+    ]
+    doc = json.loads(report.read_text())
+    assert doc["admissible"] == [1, 2, 3, 4, 7, 10]
+    assert doc["clause_iii_fails"] == [1, 2, 3, 7]
+    # a strong base prints the key set alone
+    assert run(["keys", "--mode", "one-starter", "--m", 7, "--T0", "2,3;4,6;5,1"]) == 0
+    assert capsys.readouterr().out == "K = [1, 2, 4]  (|K| = 3)\n"
+
+
 # ------------------------------------------------------------------- verify
 
 
@@ -166,6 +196,23 @@ def test_verify_rejects_garbage(tmp_path):
     path = write_json(tmp_path / "nope.json", {"hello": 1})
     with pytest.raises(SystemExit):
         run(["verify", path])
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("verify", {"m": 7, "rows": [[5]]}),
+        ("verify", {"order": 21, "pairs": [1, 2]}),
+        ("build --spec", {"mode": "one-starter", "m": 7, "T0": [1, 2, 3], "key": 1}),
+        ("batch --samples 1 --fixed-tt", {"m": 7, "rows": [[5]]}),
+    ],
+)
+def test_malformed_pair_list_exits_4(tmp_path, capsys, monkeypatch, command, doc):
+    monkeypatch.chdir(tmp_path)  # build and batch write here
+    code = run(command.split() + [write_json(tmp_path / "in.json", doc)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed pair list") and "Traceback" not in err
 
 
 # -------------------------------------------------------------------- batch

@@ -110,6 +110,31 @@ def test_congruity_failure_reports_violations():
     assert any("(1)" in v or "(3)" in v for v in report.violations)
 
 
+@pytest.mark.parametrize(
+    "table, order, kind, position, value, expected",
+    [
+        ("TABLE_7_KEY1", 7, "carry", (3, 0), 3, "(0) U_3=3 outside 0..2"),
+        ("TABLE_7_KEY1", 7, "carry", (2, 0), 0, "(2) weak set 0 contains a zero sum"),
+        ("TABLE_7_KEY1", 7, "carry", (5, 1), 0, "(3) color 0 contains value 0"),
+        # the lifts of residue 3 in Z_45 have discriminators 3, 0 and 6 mod 9
+        ("TABLE_15_KEY4", 15, "mod", (1, 0), 4,
+         "(4) (3, 4) not an encoded pair at position U_1"),
+    ],
+)
+def test_congruity_names_each_violation_kind(table, order, kind, position, value,
+                                             expected):
+    tt = validate(getattr(golden, table), order)
+    sc = Scenario(kind, order)
+    solution = {"carry": "_SOLUTION_CARRY", "mod": "_SOLUTION_MOD9"}[kind]
+    values = [list(v) for v in getattr(golden, table + solution)]
+    assert check_congruous(tt, CongruousTable(kind, sc.r, tuple(map(tuple, values))), sc)
+    i, side = position
+    values[i][side] = value
+    report = check_congruous(tt, CongruousTable(kind, sc.r, tuple(map(tuple, values))), sc)
+    assert not report
+    assert expected in report.violations
+
+
 def test_congruity_crossed_tables_do_not_pass():
     # a solution for one table fails against a different table of the same
     # order; mismatched sizes raise instead

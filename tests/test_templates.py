@@ -22,10 +22,11 @@ from triplication import (
     patterned_starter,
     sums,
     template_base_from_spec,
+    template_table,
     three_starter_table,
     validate,
 )
-from triplication.errors import SpecialPairViolation
+from triplication.errors import InconsistentOrdering, SpecialPairViolation
 
 import golden
 
@@ -129,6 +130,50 @@ def test_template_preserves_base_orientation():
     tt = one_starter_table(Pairing(7, golden.STARTER_7_B), 1)
     assert tt.pairs == tuple(golden.TABLE_7_KEY1)
     assert tt.signs == (1, 1, -1)
+
+
+@pytest.mark.parametrize(
+    "t0, t1, t2, match",
+    [
+        (((1, 1), (4, 6), (1, 5)), None, None, "T0: zero difference"),
+        (None, ((2, 3), (4, 5), (1, 5)), None, "T1: difference class 1 repeats"),
+        (((2, 3), (4, 6)), ((2, 3), (4, 6)), ((2, 3), (1, 5)),
+         r"T2: difference classes \[1, 3\] do not form 1..2"),
+    ],
+)
+def test_template_rejects_unalignable_base_naming_it(t0, t1, t2, match):
+    # a base whose difference classes are not exactly 1..q cannot be aligned
+    t = golden.STARTER_7_A
+    base = [Pairing(7, p or t) for p in (t0, t1, t2)]
+    for build in (admissible_keys, lambda *b: build_template(*b, 1)):
+        with pytest.raises(InvalidInput, match=match):
+            build(*base)
+
+
+def test_template_rejects_bases_of_different_order_or_length():
+    t = Pairing(7, golden.STARTER_7_A)
+    with pytest.raises(InconsistentOrdering, match="moduli"):
+        admissible_keys(t, Pairing(9, golden.STARTER_9), t)
+    with pytest.raises(InconsistentOrdering, match="lengths"):
+        admissible_keys(t, t, Pairing(7, golden.STARTER_7_A[:2]))
+
+
+def test_three_starter_rejects_pseudostarter_on_every_path():
+    # (T1, T2) is a special pair of pseudostarters (T1 repeats 2, T2 repeats
+    # 5): template_table takes it, the three-starter paths do not
+    t0, t1, t2 = (Pairing(7, p) for p in (
+        golden.STARTER_7_B, ((1, 2), (2, 4), (3, 6)), ((5, 6), (3, 5), (1, 4))))
+    assert is_special_pair(t1, t2)
+    assert template_table(t0, t1, t2, 3).key == 3
+    spec = {"mode": "three-starter", "m": 7,
+            "T0": list(t0.pairs), "T1": list(t1.pairs), "T2": list(t2.pairs)}
+    for build in (lambda: three_starter_table(t0, t1, t2, 3),
+                  lambda: template_base_from_spec(spec),
+                  lambda: three_starter_table(t0, t2, t1, 3)):
+        with pytest.raises(InvalidInput, match="T1 is not a starter: element"):
+            build()
+    with pytest.raises(InvalidInput, match="T2 is not a starter"):
+        three_starter_table(t0, t0, t1, 3)
 
 
 # --------------------------------------------------------------------- keys
