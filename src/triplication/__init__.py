@@ -47,7 +47,7 @@ from .pairings import (
     sums,
 )
 from .recovery import recover_starter, round_trip, starter_from_json, starter_to_json
-from .scenarios import EncodedElement, Scenario, crt_general
+from .scenarios import EncodedElement, Scenario
 from .tables import (
     CarryTables,
     TriplicationTable,

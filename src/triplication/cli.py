@@ -57,6 +57,8 @@ def _exit_for(error: str) -> tuple[int, str]:
 
 def parse_pair_list(text: str, m: int) -> Pairing:
     """Parse the command-line pairing literal ``"x,y;x,y;..."``."""
+    if m < 3:
+        raise InvalidInput(f"modulus must be odd and >= 3, got {m}")
     pairs = []
     for chunk in text.split(";"):
         x, y = chunk.split(",")
@@ -98,7 +100,10 @@ def cmd_build(args) -> int:
         key = args.key if args.key is not None else spec.get("key")
         if key is None:
             raise SystemExit("a key is required (--key or spec file)")
-        key = int(key)
+        try:
+            key = int(key)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput(f"malformed key {key!r}") from exc
         try:
             tt = template_table(*base, key)
         except KeyNotAdmissible:
@@ -172,6 +177,8 @@ def cmd_keys(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.file) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise InvalidInput(f"{args.file}: top level is not a JSON object")
     if "rows" in data and "m" in data:
         tt = table_from_json(data)  # raises on violation
         print(f"valid triplication table of order {tt.m}, key {tt.key}")
@@ -216,12 +223,24 @@ def _batch_job(job: tuple) -> dict:
     return record
 
 
+_OUTCOMES = ("solution", "unsat", "aborted", "sample_aborted", "error")
+
+
+def _is_record(rec) -> bool:
+    return (
+        isinstance(rec, dict)
+        and all(isinstance(rec.get(k), int) for k in ("m", "index"))
+        and rec.get("outcome") in _OUTCOMES
+        and (rec["outcome"] != "error" or isinstance(rec.get("error"), str))
+    )
+
+
 def _read_log(log_path: str) -> list[dict]:
     """Every record in the log.
 
     A last line without its newline was cut short by a crash mid-write: it
     is cut off the file, so that its job runs again.  Any other line that
-    does not parse raises.
+    is not a record raises :class:`InvalidInput` naming it.
     """
     if not os.path.exists(log_path):
         return []
@@ -230,7 +249,11 @@ def _read_log(log_path: str) -> list[dict]:
         *lines, partial = data.split(b"\n")
         if partial:
             fh.truncate(len(data) - len(partial))
-    return [json.loads(line) for line in lines]
+    records = [json.loads(line) for line in lines]
+    for number, rec in enumerate(records, 1):
+        if not _is_record(rec):
+            raise InvalidInput(f"{log_path} line {number} is not a batch record: {rec!r}")
+    return records
 
 
 def cmd_batch(args) -> int:
@@ -278,8 +301,7 @@ def cmd_batch(args) -> int:
     summary: dict[str, dict] = {}
     for rec in records:
         bucket = summary.setdefault(
-            str(rec["m"]),
-            {"N": 0, "N_unsat": 0, "N_aborted": 0, "N_sample_aborted": 0, "N_error": 0},
+            str(rec["m"]), dict.fromkeys(["N"] + [f"N_{o}" for o in _OUTCOMES[1:]], 0)
         )
         bucket["N"] += 1
         if rec["outcome"] != "solution":

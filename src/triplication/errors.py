@@ -56,7 +56,7 @@ class ScenarioMismatch(InvalidInput):
 
 
 class IncompatibleResidues(TriplicationError):
-    """The two residues disagree modulo gcd of the moduli; no lift exists."""
+    """No lift of the residue has the given discriminator."""
 
 
 class NotCongruous(TriplicationError):

@@ -86,12 +86,10 @@ class ConstraintGroup:
 @dataclass(frozen=True)
 class MspInstance:
     """A table compiled over lift indices: unknown ``j`` stands for
-    ``residues[j] + k*m``.  ``lift_order`` is the order in which the search
-    tries the lifts by default, the order of the scenario's discriminators."""
+    ``residues[j] + k*m``."""
 
     scenario: Scenario
     residues: tuple[int, ...]
-    lift_order: tuple[int, int, int]
     groups: tuple[ConstraintGroup, ...]
 
     @property
@@ -162,14 +160,9 @@ def compile_instance(tt: TriplicationTable, sc) -> MspInstance:
                 c == 0,
             )
         )
-    # Lifts in the order of the scenario's discriminators: under mod, lift k
-    # of residue c encodes to (c + s * 3^nu) mod 3^(nu+1) with s = k*p mod 3
-    # (p the 3-free part of m); under carry, to k itself.
-    lift_order = (0, 2, 1) if sc.kind == "mod" and sc.p % 3 == 2 else (0, 1, 2)
     return MspInstance(
         scenario=sc,
         residues=tuple(c for pair in tt.pairs for c in pair),
-        lift_order=lift_order,
         groups=tuple(groups),
     )
 
@@ -181,7 +174,7 @@ class _Search:
     """Backtracking with forward checking over lift-index domains.
 
     Variable order: fewest remaining candidates first, ties broken by lowest
-    variable id.  Value order: the instance's ``lift_order``, or a
+    variable id.  Value order: the scenario's ``lift_order``, or a
     per-variable seeded shuffle of it when sampling.  Deterministic for a
     fixed seed.
 
@@ -218,7 +211,7 @@ class _Search:
                     # A zero-forbidding colour entry never takes lift 0.
                     self.domain[a] &= 0b110
         self.var_groups = [tuple(gs) for gs in groups]
-        order = inst.lift_order
+        order = inst.scenario.lift_order
         if seed is None:
             self.value_order = [order] * nv
         else:

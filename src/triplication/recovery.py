@@ -1,12 +1,12 @@
 """Recovery of strong starters from an aligned pair of tables.
 
 Given a triplication table over ``Z_m`` and a congruous solution table, every
-component of the sought starter is reconstructed from its residue mod ``m``
-and its discriminator by :meth:`triplication.scenarios.Scenario.decode` (a
-Chinese-remainder lift in the mod scenario, quotient-remainder composition in
-the carry scenario).  The recovered pairing is guaranteed to be a strong
-starter of order ``3m``; it is re-verified anyway, and a failure there is
-reported as an internal bug, never as a user error.
+component of the sought starter is reconstructed from its residue ``u`` mod
+``m`` and its discriminator by :meth:`triplication.scenarios.Scenario.decode`,
+which picks the one lift ``u + k*m`` that has that discriminator.  The
+recovered pairing is guaranteed to be a strong starter of order ``3m``; it is
+re-verified anyway, and a failure there is reported as an internal bug, never
+as a user error.
 """
 
 from __future__ import annotations

@@ -5,58 +5,25 @@ Reduction mod ``m`` is 3-to-1 on ``Z_{3m}``; a scenario pairs each residue
 is a bijection.  Two concrete scenarios are exposed:
 
 * ``mod``:   ``f(x) = x mod 3^(nu+1)`` where ``m = 3^nu * p`` with ``3 ∤ p``.
-  Box-operations are plain arithmetic mod ``3^(nu+1)``; decoding is a
-  Chinese-remainder lift (non-coprime moduli when ``nu >= 1``).
+  Box-operations are plain arithmetic mod ``3^(nu+1)``.
 * ``carry``: ``f(x) = x // m``, so ``U`` is the base-``m`` digit carry.
-  Box-operations need an explicit carry bit; decoding is ``m*U + u``.
+  Box-operations need an explicit carry bit.
 
 Both satisfy ``f(0) = 0``, and both make the pair sets of any fixed
-triplication table yield the same strong starters.
+triplication table yield the same strong starters.  Everything else is
+read off ``f`` and the three lifts ``u, u + m, u + 2m`` of a residue: the
+decoding, the candidate discriminators and the order of the lifts.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 from .errors import IncompatibleResidues, InvalidInput
-from .pairings import modinv
 
-__all__ = ["EncodedElement", "Scenario", "crt_general"]
-
-
-def crt_general(u: int, m: int, U: int, h: int) -> int:
-    """The unique ``x`` in ``[0, lcm(m, h))`` with ``x = u (mod m)`` and
-    ``x = U (mod h)``.
-
-    The moduli need not be coprime: with ``d = gcd(m, h)`` a solution exists
-    iff ``u = U (mod d)``, otherwise :class:`IncompatibleResidues` is raised.
-    The lift subtracts the shared residue ``u mod d``, divides through by
-    ``d`` (the reduced moduli are coprime), solves the coprime system, and
-    scales back.
-    """
-    if m <= 0 or h <= 0:
-        raise InvalidInput(f"moduli must be positive, got {m} and {h}")
-    u %= m
-    U %= h
-    d = math.gcd(m, h)
-    if (u - U) % d:
-        raise IncompatibleResidues(f"{u} (mod {m}) and {U} (mod {h}) disagree mod {d}")
-    ubar = u % d
-    m1, h1 = m // d, h // d
-    a = ((u - ubar) // d) % m1 if m1 > 1 else 0
-    b = ((U - ubar) // d) % h1 if h1 > 1 else 0
-    # coprime lift of (a mod m1, b mod h1)
-    if m1 == 1:
-        xp = b
-    elif h1 == 1:
-        xp = a
-    else:
-        xp = (a + m1 * (((b - a) * modinv(m1, h1)) % h1)) % (m1 * h1)
-    n = m1 * h  # lcm(m, h)
-    return (ubar + d * xp) % n
+__all__ = ["EncodedElement", "Scenario"]
 
 
 class EncodedElement(NamedTuple):
@@ -81,11 +48,7 @@ class Scenario:
     @cached_property
     def nu(self) -> int:
         """Exponent of 3 in ``m``."""
-        n, m = 0, self.m
-        while m % 3 == 0:
-            m //= 3
-            n += 1
-        return n
+        return next(k for k in range(self.m) if self.m % 3 ** (k + 1))
 
     @property
     def p(self) -> int:
@@ -109,29 +72,21 @@ class Scenario:
 
     def encode(self, x: int) -> EncodedElement:
         """``x -> (x mod m, f(x))``; a bijection onto its range."""
-        if not 0 <= x < self.n:
-            raise InvalidInput(f"{x} outside Z_{self.n}")
         return EncodedElement(x % self.m, self.f(x))
 
     def decode(self, e) -> int:
-        """The unique ``x`` with ``encode(x) == e``.
-
-        In the mod scenario the residues must agree mod ``3^nu``
-        (:class:`IncompatibleResidues` otherwise); the lift is the
-        generalized Chinese remainder with moduli ``m`` and ``3^(nu+1)``.
-        """
+        """The unique ``x`` with ``encode(x) == e``: the lift ``u + k*m`` of
+        the residue whose discriminator is ``U``
+        (:class:`IncompatibleResidues` if no lift has it)."""
         u, U = e
         if not 0 <= u < self.m:
             raise InvalidInput(f"residue {u} outside Z_{self.m}")
         if not 0 <= U < self.r:
             raise InvalidInput(f"discriminator {U} outside Z_{self.r}")
-        if self.kind == "carry":
-            return self.m * U + u
-        if (u - U) % 3**self.nu:
-            raise IncompatibleResidues(
-                f"{u} and {U} disagree mod 3^{self.nu} = {3 ** self.nu}"
-            )
-        return crt_general(u, self.m, U, self.r)
+        for x in range(u, self.n, self.m):
+            if self.f(x) == U:
+                return x
+        raise IncompatibleResidues(f"no lift of {u} has discriminator {U}")
 
     def box_sub(self, a, b, delta: int = 0) -> int:
         """Discriminator of ``F(a) - F(b)``.
@@ -153,12 +108,15 @@ class Scenario:
             return (U + V) % self.r
         return (U + V + sigma) % 3
 
+    @cached_property
+    def lift_order(self) -> tuple[int, int, int]:
+        """The lift indices ``k`` sorted by the discriminator ``f(k*m)``: the
+        order in which the search tries the lifts of every residue."""
+        return tuple(sorted(range(3), key=lambda k: self.f(k * self.m)))
+
     def variable_domain(self, u: int) -> tuple[int, int, int]:
-        """The three discriminators compatible with residue ``u``, i.e. the
-        ``f``-images of the three lifts of ``u`` (in ``3^nu`` steps for mod)."""
+        """The three discriminators compatible with residue ``u``: the
+        ``f``-images of its lifts, in :attr:`lift_order`."""
         if not 0 <= u < self.m:
             raise InvalidInput(f"residue {u} outside Z_{self.m}")
-        if self.kind == "carry":
-            return (0, 1, 2)
-        step = 3**self.nu
-        return (u % self.r, (u + step) % self.r, (u + 2 * step) % self.r)
+        return tuple(self.f(u + k * self.m) for k in self.lift_order)

@@ -18,7 +18,6 @@ from triplication import (
     classify,
     compile_instance,
     conjugate,
-    crt_general,
     derive_index_structures,
     enumerate_strong_starters,
     epicycloidal,
@@ -82,7 +81,7 @@ def test_criterion_1_golden_tables():
     assert classify(rec15).kind == StarterKind.STRONG_STARTER
 
     # generalized remainder lift
-    assert crt_general(22, 45, 13, 27) == 67
+    assert Scenario("mod", 45).decode((22, 13)) == 67
 
     assert time.perf_counter() - t0 < 5.0
     print("\nACCEPTANCE 1 (golden tables): PASS")

@@ -215,6 +215,31 @@ def test_malformed_pair_list_exits_4(tmp_path, capsys, monkeypatch, command, doc
     assert err.startswith("error: malformed pair list") and "Traceback" not in err
 
 
+T0_7 = [[2, 3], [4, 6], [1, 5]]
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["verify"], 5),
+        (["build", "--spec"], {"mode": "one-starter", "m": 7, "T0": T0_7, "key": [1]}),
+        (["build", "--spec"],
+         {"mode": "epicycloidal", "m": 7, "T0": T0_7, "mu": [2], "key": 3}),
+        (["build", "--mode", "one-starter", "--m", 0, "--T0", "2,3;4,6;1,5", "--key", 1],
+         None),
+        (["keys", "--mode", "one-starter", "--m", 0, "--T0", "2,3;4,6;1,5"], None),
+    ],
+    ids=["verify-non-object", "build-list-key", "build-list-mu", "build-m0", "keys-m0"],
+)
+def test_ill_typed_input_exits_4(tmp_path, capsys, monkeypatch, argv, doc):
+    monkeypatch.chdir(tmp_path)  # build writes here
+    if doc is not None:
+        argv = argv + [write_json(tmp_path / "in.json", doc)]
+    assert run(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 # -------------------------------------------------------------------- batch
 
 
@@ -400,6 +425,21 @@ def test_batch_resume_rejects_malformed_inner_line(tmp_path):
     lines[1] = lines[1][:-10] + "\n"
     log.write_text("".join(lines))
     assert run(args) == 4
+    assert log.read_text() == "".join(lines)
+
+
+@pytest.mark.parametrize("line", ["{}", "5", '{"m": 7, "index": 0}'])
+def test_batch_resume_rejects_non_record_line(tmp_path, capsys, line):
+    args = ["batch", "--orders", "7", "--samples", 3, "--outdir", tmp_path]
+    assert run(args) == 0
+    capsys.readouterr()
+    log = tmp_path / "batch_log.jsonl"
+    lines = log.read_text().splitlines(keepends=True)
+    lines[1] = line + "\n"
+    log.write_text("".join(lines))
+    assert run(args + ["--samples", 4]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 2 is not a batch record" in err
     assert log.read_text() == "".join(lines)
 
 

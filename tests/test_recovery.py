@@ -15,7 +15,6 @@ from triplication import (
     canonical_unordered,
     check_congruous,
     classify,
-    crt_general,
     random_tt,
     recover_starter,
     round_trip,
@@ -30,47 +29,50 @@ import golden
 
 
 # ---------------------------------------------------------------------- crt
+# Decoding a mod-scenario encoding is the Chinese-remainder lift with moduli
+# ``m`` and ``r``: the ``x`` in ``Z_{3m}`` with ``x = u (mod m)``, ``x = U (mod r)``.
 
 
 def test_crt_worked_example():
-    assert crt_general(22, 45, 13, 27) == 67
+    assert Scenario("mod", 45).decode((22, 13)) == 67
 
 
 def test_crt_coprime_case():
-    assert crt_general(1, 7, 2, 3) == 8
-    assert crt_general(0, 45, 0, 27) == 0
+    assert Scenario("mod", 7).decode((1, 2)) == 8
+    assert Scenario("mod", 45).decode((0, 0)) == 0
 
 
 def test_crt_incompatible():
     with pytest.raises(IncompatibleResidues):
-        crt_general(1, 15, 3, 9)  # 1 != 3 mod 3
+        Scenario("mod", 15).decode((1, 3))  # 1 != 3 mod 3
 
 
 def test_crt_agrees_with_scan_for_table_moduli():
-    for m, h in ((7, 3), (9, 27), (15, 9), (45, 27)):
-        d = math.gcd(m, h)
-        n = m * h // d
+    for m in (7, 9, 15, 45):
+        sc = Scenario("mod", m)
+        h = sc.r
         for u in range(m):
             for U in range(h):
-                want = [x for x in range(n) if x % m == u and x % h == U]
-                if (u - U) % d:
+                want = [x for x in range(3 * m) if x % m == u and x % h == U]
+                if (u - U) % math.gcd(m, h):
                     assert not want
                     with pytest.raises(IncompatibleResidues):
-                        crt_general(u, m, U, h)
+                        sc.decode((u, U))
                 else:
-                    assert crt_general(u, m, U, h) == want[0]
+                    assert sc.decode((u, U)) == want[0]
 
 
 @given(
-    st.integers(min_value=1, max_value=40),
-    st.integers(min_value=1, max_value=40),
-    st.integers(min_value=0, max_value=2000),
+    st.sampled_from(["mod", "carry"]),
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=0, max_value=10**6),
 )
 @settings(max_examples=300)
-def test_crt_matches_any_integer_projection(m, h, x):
-    # projecting any integer and lifting it back lands on x mod lcm
-    n = m * h // math.gcd(m, h)
-    assert crt_general(x % m, m, x % h, h) == x % n
+def test_crt_matches_any_integer_projection(kind, half, x):
+    # encoding any element of Z_{3m} and decoding it gives it back
+    sc = Scenario(kind, 2 * half + 1)
+    x %= sc.n
+    assert sc.decode(sc.encode(x)) == x
 
 
 # ----------------------------------------------------------------- recovery
