@@ -229,7 +229,8 @@ _OUTCOMES = ("solution", "unsat", "aborted", "sample_aborted", "error")
 def _is_record(rec) -> bool:
     return (
         isinstance(rec, dict)
-        and all(isinstance(rec.get(k), int) for k in ("m", "index"))
+        and isinstance(rec.get("m"), int)
+        and isinstance(rec.get("index"), (int, str))  # str for a --fixed-tt job
         and rec.get("outcome") in _OUTCOMES
         and (rec["outcome"] != "error" or isinstance(rec.get("error"), str))
     )
@@ -310,11 +311,8 @@ def cmd_batch(args) -> int:
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2)
     for m, bucket in sorted(summary.items(), key=lambda kv: int(kv[0])):
-        print(
-            f"m={m}: N={bucket['N']} unsat={bucket['N_unsat']} "
-            f"aborted={bucket['N_aborted']} "
-            f"sample_aborted={bucket['N_sample_aborted']} error={bucket['N_error']}"
-        )
+        counts = " ".join(f"{o}={bucket['N_' + o]}" for o in _OUTCOMES[1:])
+        print(f"m={m}: N={bucket['N']} {counts}")
     print(f"log: {log_path}\nsummary: {summary_path}")
     errors = [_exit_for(rec["error"])[0] for rec in records if rec["outcome"] == "error"]
     return max(errors, default=EXIT_OK)

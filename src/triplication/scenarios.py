@@ -48,7 +48,11 @@ class Scenario:
     @cached_property
     def nu(self) -> int:
         """Exponent of 3 in ``m``."""
-        return next(k for k in range(self.m) if self.m % 3 ** (k + 1))
+        n, m = 0, self.m
+        while m % 3 == 0:
+            m //= 3
+            n += 1
+        return n
 
     @property
     def p(self) -> int:

@@ -253,11 +253,10 @@ def template_base_from_spec(spec: dict) -> tuple[Pairing, Pairing, Pairing]:
         return _three_starters(take("T0"), take("T1"), take("T2"))
     if mode == "epicycloidal":
         t0 = take("T0")
-        mu = spec.get("mu")
         try:
-            mu = int(mu)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInput(f"mode 'epicycloidal' requires an integer mu, got {mu!r}") from exc
-        t1 = epicycloidal(m, mu)
+            t1 = epicycloidal(m, int(spec["mu"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            mu = spec.get("mu")
+            raise InvalidInput(f"mode 'epicycloidal' needs an integer mu, got {mu!r}") from exc
         return t0, t1, conjugate(t1)
     raise InvalidInput(f"unknown mode {mode!r}")

@@ -284,6 +284,17 @@ def test_batch_fixed_table_records_unsat(tmp_path):
     assert records[0]["index"] == "fixed:tt.json"
 
 
+def test_batch_resume_skips_fixed_table_job(tmp_path):
+    tt = validate(golden.UNSOLVABLE_11, 11)
+    path = write_json(tmp_path / "tt.json", table_to_json(tt))
+    args = ["batch", "--samples", 1, "--fixed-tt", path, "--outdir", tmp_path]
+    assert run(args) == 0
+    log = tmp_path / "batch_log.jsonl"
+    before = log.read_text()
+    assert run(args) == 0
+    assert log.read_text() == before
+
+
 def test_batch_fixed_table_without_order_exits_4(tmp_path, capsys):
     doc = table_to_json(validate(golden.UNSOLVABLE_11, 11))
     del doc["m"]
