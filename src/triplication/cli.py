@@ -29,7 +29,7 @@ from contextlib import nullcontext
 
 from .errors import BudgetExceeded, InvalidInput, KeyNotAdmissible, NotATable, TriplicationError
 from .msp import compile_instance, random_tt, solution_to_json, solve
-from .pairings import Pairing, classify, pairing_from_json
+from .pairings import Pairing, _int, classify, pairing_from_json
 from .recovery import recover_starter, starter_from_json, starter_to_json
 from .scenarios import Scenario
 from .tables import render_table, table_from_json, table_to_json
@@ -71,7 +71,7 @@ def _spec_from_args(args) -> dict:
         with open(args.spec) as fh:
             return json.load(fh)
     if args.mode is None or args.m is None:
-        raise SystemExit("either --spec or --mode/--m must be given")
+        raise InvalidInput("either --spec or --mode/--m must be given")
     spec = {"mode": args.mode, "m": args.m}
     for name in ("T0", "T1", "T2"):
         text = getattr(args, name)
@@ -99,11 +99,8 @@ def cmd_build(args) -> int:
         base = template_base_from_spec(spec)
         key = args.key if args.key is not None else spec.get("key")
         if key is None:
-            raise SystemExit("a key is required (--key or spec file)")
-        try:
-            key = int(key)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInput(f"malformed key {key!r}") from exc
+            raise InvalidInput("a key is required (--key or spec file)")
+        key = _int(key, "key")
         try:
             tt = template_table(*base, key)
         except KeyNotAdmissible:
@@ -190,7 +187,7 @@ def cmd_verify(args) -> int:
         if outcome.witness:
             print(f"first violation: {outcome.witness}")
         return EXIT_OK if outcome.kind.name == "STRONG_STARTER" else EXIT_INVALID
-    raise SystemExit(f"{args.file}: not a starter or table JSON file")
+    raise InvalidInput(f"{args.file}: not a starter or table JSON file")
 
 
 def _batch_job(job: tuple) -> dict:
@@ -260,9 +257,9 @@ def _read_log(log_path: str) -> list[dict]:
 def cmd_batch(args) -> int:
     orders = [int(x) for x in args.orders.split(",")] if args.orders else []
     if args.samples < 1 and not args.fixed_tt:
-        raise SystemExit("sample count must be >= 1")
+        raise InvalidInput("sample count must be >= 1")
     if args.budget is not None and args.budget <= 0:
-        raise SystemExit("budget must be positive")
+        raise InvalidInput("budget must be positive")
     # Orders and table files are checked here, before any job runs, so that
     # bad input ends the run with an error instead of failing inside a job.
     for m in orders:

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import BudgetExceeded, InvalidInput, ScenarioMismatch
+from .pairings import _int, _int_pairs
 from .tables import TriplicationTable, validate
 
 if TYPE_CHECKING:
@@ -465,45 +466,81 @@ def random_tt(
     Pairs are placed row by row with sign ``+d`` fixed; a pair in row ``d``
     is determined by its first component ``u`` (the second is ``u + d``).
     Candidates are filtered by the remaining value multiplicities, the sum
-    caps, and within-row dedup; dead ends restart with a fresh permutation
-    rather than backtracking, which keeps sampling fast.  The output always
+    caps, and within-row dedup; dead ends restart with a fresh key rather
+    than backtracking, which keeps sampling fast.  The output always
     validates.  Raises :class:`BudgetExceeded` if ``budget`` placements are
     exhausted.
+
+    The candidates are bitsets over ``Z_m``: ``avail`` holds the values
+    still to be placed, ``half`` holds ``h`` while the sum ``2h`` is below
+    its cap (2 for sum 0, else 3), and ``used`` the first components already
+    in the row.  Row ``d`` may place ``u`` iff bit ``u`` of
+    ``avail & rot(avail, d) & rot(half, d*inv2) & ~used`` is set, where
+    ``rot`` shifts cyclically right on ``m`` bits and ``inv2 = (m + 1)/2``
+    halves mod ``m``.  The pick is the ``i``-th candidate in ascending
+    order for ``i = rng.randrange(n)`` among ``n``, the draw that
+    ``rng.choice`` makes on the candidate list, so a seed yields the same
+    table, or aborts at the same placement, as a sampler that lists the
+    candidates.
     """
     if m < 5 or m % 2 == 0:
         raise InvalidInput(f"order must be odd and >= 5, got {m}")
     rng = random.Random(seed)
+    randrange = rng.randrange
     q = (m - 1) // 2
+    inv2 = (m + 1) // 2
+    full = (1 << m) - 1
+    # avail and half are kept doubled, x | x << m, so that x >> s is rot(x, s)
+    # on the low m bits; both[u] is bit u of a doubled set.
+    both = [(1 << u) | (1 << (u + m)) for u in range(m)]
+    half_shift = [d * inv2 % m for d in range(q + 1)]
     steps = 0
     while True:
-        key = rng.randrange(1, m)
-        counts = [2 if c == 0 else 3 for c in range(m)]
+        key = randrange(1, m)
+        counts = [2] + [3] * (m - 1)
         counts[key] -= 2
-        sum_counts = [0] * m
-        sum_counts[(2 * key) % m] += 1
+        # half_left[h]: placements left for the sum 2h
+        half_left = [2] + [3] * (m - 1)
+        half_left[key] -= 1
+        # key != 0 leaves its value a count of 1 and its sum a slot of 2
+        avail = half = (full << m) | full
         pairs: list[tuple[int, int]] = [(key, key)]
         dead = False
         for d in range(1, q + 1):
-            row_us: set[int] = set()
+            b = half_shift[d]
+            free = full  # ~used
             for _ in range(3):
-                candidates = [
-                    u
-                    for u in range(m)
-                    if u not in row_us
-                    and counts[u] > 0
-                    and counts[(u + d) % m] > 0
-                    and sum_counts[(2 * u + d) % m]
-                    < (2 if (2 * u + d) % m == 0 else 3)
-                ]
-                if not candidates:
+                cand = avail & free & (avail >> d) & (half >> b)
+                n = cand.bit_count()
+                if not n:
                     dead = True
                     break
-                u = rng.choice(candidates)
-                v = (u + d) % m
+                # strip set bits from the nearer end down to the i-th
+                i = randrange(n)
+                if 2 * i < n:
+                    for _ in range(i):
+                        cand &= cand - 1
+                    u = (cand & -cand).bit_length() - 1
+                else:
+                    for _ in range(n - 1 - i):
+                        cand ^= 1 << (cand.bit_length() - 1)
+                    u = cand.bit_length() - 1
+                v = u + d
+                if v >= m:
+                    v -= m
                 counts[u] -= 1
+                if not counts[u]:
+                    avail ^= both[u]
                 counts[v] -= 1
-                sum_counts[(u + v) % m] += 1
-                row_us.add(u)
+                if not counts[v]:
+                    avail ^= both[v]
+                h = u + b  # 2h = u + v
+                if h >= m:
+                    h -= m
+                half_left[h] -= 1
+                if not half_left[h]:
+                    half ^= both[h]
+                free ^= 1 << u
                 pairs.append((u, v))
                 steps += 1
                 if budget is not None and steps > budget:
@@ -529,8 +566,8 @@ def solution_to_json(ct: CongruousTable) -> dict:
 def solution_from_json(data: dict) -> CongruousTable:
     try:
         kind = data["scenario"]
-        r = int(data["r"])
-        values = tuple((int(a), int(b)) for row in data["rows"] for a, b in row)
-    except (KeyError, TypeError, ValueError) as exc:
+        r = _int(data["r"], "r")
+        values = _int_pairs(p for row in data["rows"] for p in row)
+    except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed solution JSON: {exc}") from exc
     return CongruousTable(kind=kind, r=r, values=values)

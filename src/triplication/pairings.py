@@ -17,6 +17,7 @@ Classification vocabulary (strongest first):
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
@@ -61,10 +62,26 @@ def modinv(a: int, n: int) -> int:
     return s % n
 
 
+def _int(value, field: str) -> int:
+    """``value`` as an int; a float is accepted only with an integral value.
+
+    A bool, a string or a fractional float raises :class:`InvalidInput`
+    naming ``field`` rather than being truncated.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidInput(f"{field} must be an integer, got {value!r}")
+
+
 def _int_pairs(pairs) -> tuple[tuple[int, int], ...]:
     """``pairs`` as integer pairs; :class:`InvalidInput` for any other shape."""
     try:
-        return tuple((int(x), int(y)) for x, y in pairs)
+        return tuple((_int(x, "pair entry"), _int(y, "pair entry")) for x, y in pairs)
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed pair list: {exc}") from exc
 
@@ -300,8 +317,8 @@ def pairing_to_json(p: Pairing) -> dict:
 
 def pairing_from_json(data: dict) -> Pairing:
     try:
-        modulus = int(data["modulus"])
+        modulus = _int(data["modulus"], "modulus")
         pairs = data["pairs"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed pairing JSON: {exc}") from exc
     return Pairing(modulus, pairs)

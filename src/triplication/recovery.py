@@ -19,7 +19,7 @@ from .errors import (
     ScenarioMismatch,
 )
 from .msp import CongruousTable, check_congruous
-from .pairings import Pairing, StarterKind, classify
+from .pairings import Pairing, StarterKind, _int, classify
 from .tables import TriplicationTable, _arrange, validate
 
 __all__ = [
@@ -100,8 +100,8 @@ def starter_to_json(p: Pairing, ordered: bool = True, provenance: dict | None = 
 
 def starter_from_json(data: dict) -> Pairing:
     try:
-        order = int(data["order"])
+        order = _int(data["order"], "order")
         pairs = data["pairs"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed starter JSON: {exc}") from exc
     return Pairing(order, pairs)

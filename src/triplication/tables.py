@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputNotStrongStarter, InvalidInput, NotATable
-from .pairings import Pairing, StarterKind, classify, _int_pairs
+from .pairings import Pairing, StarterKind, classify, _int, _int_pairs
 
 __all__ = [
     "CarryTables",
@@ -308,11 +308,11 @@ def table_to_json(tt: TriplicationTable) -> dict:
 
 def table_from_json(data: dict) -> TriplicationTable:
     try:
-        m = int(data["m"])
+        m = _int(data["m"], "m")
         flat = [p for row in data["rows"] for p in row]
-        key = int(data.get("key", -1))
-        signs = tuple(data.get("signs", ()))
-    except (KeyError, TypeError, ValueError) as exc:
+        key = _int(data.get("key", -1), "key")
+        signs = tuple(_int(s, "sign") for s in data.get("signs", ()))
+    except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed table JSON: {exc}") from exc
     tt = validate(flat, m)
     if "key" in data and key != tt.key:

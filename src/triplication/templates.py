@@ -37,6 +37,7 @@ from .errors import (
 from .pairings import (
     Pairing,
     StarterKind,
+    _int,
     classify,
     conjugate,
     modinv,
@@ -237,8 +238,8 @@ def template_base_from_spec(spec: dict) -> tuple[Pairing, Pairing, Pairing]:
     """
     try:
         mode = spec["mode"]
-        m = int(spec["m"])
-    except (KeyError, TypeError, ValueError) as exc:
+        m = _int(spec["m"], "m")
+    except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed template spec: {exc}") from exc
 
     def take(name: str) -> Pairing:
@@ -253,10 +254,6 @@ def template_base_from_spec(spec: dict) -> tuple[Pairing, Pairing, Pairing]:
         return _three_starters(take("T0"), take("T1"), take("T2"))
     if mode == "epicycloidal":
         t0 = take("T0")
-        try:
-            t1 = epicycloidal(m, int(spec["mu"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            mu = spec.get("mu")
-            raise InvalidInput(f"mode 'epicycloidal' needs an integer mu, got {mu!r}") from exc
+        t1 = epicycloidal(m, _int(spec.get("mu"), "mu"))
         return t0, t1, conjugate(t1)
     raise InvalidInput(f"unknown mode {mode!r}")

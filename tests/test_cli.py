@@ -192,10 +192,11 @@ def test_verify_flags_broken_starter(tmp_path, capsys):
     assert "NOT_ANY" in out or "PSEUDOSTARTER" in out
 
 
-def test_verify_rejects_garbage(tmp_path):
+def test_verify_rejects_garbage(tmp_path, capsys):
     path = write_json(tmp_path / "nope.json", {"hello": 1})
-    with pytest.raises(SystemExit):
-        run(["verify", path])
+    assert run(["verify", path]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not a starter or table" in err
 
 
 @pytest.mark.parametrize(
@@ -216,6 +217,8 @@ def test_malformed_pair_list_exits_4(tmp_path, capsys, monkeypatch, command, doc
 
 
 T0_7 = [[2, 3], [4, 6], [1, 5]]
+TABLE_7_ENTRY_2_9 = table_to_json(validate(golden.TABLE_7_KEY1, 7))
+TABLE_7_ENTRY_2_9["rows"][1][0][0] = 2.9  # the pair (2, 3) written (2.9, 3)
 
 
 @pytest.mark.parametrize(
@@ -228,8 +231,18 @@ T0_7 = [[2, 3], [4, 6], [1, 5]]
         (["build", "--mode", "one-starter", "--m", 0, "--T0", "2,3;4,6;1,5", "--key", 1],
          None),
         (["keys", "--mode", "one-starter", "--m", 0, "--T0", "2,3;4,6;1,5"], None),
+        (["keys"], None),
+        (["build", "--spec"], {"mode": "one-starter", "m": 7, "T0": T0_7}),
+        (["batch", "--orders", 7, "--samples", 0], None),
+        (["batch", "--orders", 7, "--samples", 1, "--budget", 0], None),
+        (["build", "--spec"], {"mode": "one-starter", "m": 7.9, "T0": T0_7, "key": 1}),
+        (["build", "--spec"], {"mode": "one-starter", "m": 7, "T0": T0_7, "key": 1.5}),
+        (["build", "--spec"], {"mode": "one-starter", "m": 7, "T0": T0_7, "key": True}),
+        (["verify"], TABLE_7_ENTRY_2_9),
     ],
-    ids=["verify-non-object", "build-list-key", "build-list-mu", "build-m0", "keys-m0"],
+    ids=["verify-non-object", "build-list-key", "build-list-mu", "build-m0", "keys-m0",
+         "keys-no-spec", "build-no-key", "batch-samples0", "batch-budget0",
+         "build-float-m", "build-float-key", "build-bool-key", "verify-float-entry"],
 )
 def test_ill_typed_input_exits_4(tmp_path, capsys, monkeypatch, argv, doc):
     monkeypatch.chdir(tmp_path)  # build writes here

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import pytest
@@ -309,6 +310,27 @@ def test_random_tt_guards():
         random_tt(3)
     with pytest.raises(BudgetExceeded):
         random_tt(15, seed=0, budget=5)
+
+
+def test_random_tt_stream_is_pinned():
+    """The tables each seed yields, and where a budget cuts sampling off,
+    are fixed: experiments name their tables by ``(m, seed)``."""
+    digest = hashlib.sha256()
+    for m in range(5, 16, 2):
+        for seed in range(40):
+            digest.update(repr(random_tt(m, seed).pairs).encode())
+    # budgets just above and below the placements a seed needs: most abort,
+    # a few finish, so the placement count at which each ends is pinned too
+    for m, budget in ((13, 300), (17, 1000)):
+        for seed in range(20):
+            try:
+                outcome = repr(random_tt(m, seed, budget=budget).pairs)
+            except BudgetExceeded as exc:
+                outcome = str(exc)
+            digest.update(outcome.encode())
+    assert digest.hexdigest() == (
+        "77f6c654ae439b64b032de5010140b2f507cabe458928963f409560d97f2e0fd"
+    )
 
 
 # --------------------------------------------------------------------- json
