@@ -226,7 +226,7 @@ _OUTCOMES = ("solution", "unsat", "aborted", "sample_aborted", "error")
 def _is_record(rec) -> bool:
     return (
         isinstance(rec, dict)
-        and isinstance(rec.get("m"), int)
+        and type(rec.get("m")) is int  # not a bool
         and isinstance(rec.get("index"), (int, str))  # str for a --fixed-tt job
         and rec.get("outcome") in _OUTCOMES
         and (rec["outcome"] != "error" or isinstance(rec.get("error"), str))

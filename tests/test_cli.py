@@ -452,7 +452,9 @@ def test_batch_resume_rejects_malformed_inner_line(tmp_path):
     assert log.read_text() == "".join(lines)
 
 
-@pytest.mark.parametrize("line", ["{}", "5", '{"m": 7, "index": 0}'])
+@pytest.mark.parametrize(
+    "line", ["{}", "5", '{"m": 7, "index": 0}', '{"m": true, "index": 1, "outcome": "unsat"}']
+)
 def test_batch_resume_rejects_non_record_line(tmp_path, capsys, line):
     args = ["batch", "--orders", "7", "--samples", 3, "--outdir", tmp_path]
     assert run(args) == 0
