@@ -111,10 +111,10 @@ def cmd_build(args) -> int:
     inst = compile_instance(tt, sc)
     outcome = solve(inst, mode="first", budget=args.budget, seed=args.seed)
     print(render_table(tt))
+    st = outcome.stats
     print(
-        f"solver: {outcome.status} "
-        f"(nodes={outcome.stats.nodes}, backtracks={outcome.stats.backtracks}, "
-        f"elapsed={outcome.stats.elapsed:.3f}s)"
+        f"solver: {outcome.status} (nodes={st.nodes}, backtracks={st.backtracks}, "
+        f"max_depth={st.max_depth}, elapsed={st.elapsed:.3f}s)"
     )
     if outcome.status == "unsat":
         return EXIT_UNSAT
@@ -204,6 +204,7 @@ def _batch_job(job: tuple) -> dict:
             outcome=outcome.status,
             nodes=outcome.stats.nodes,
             backtracks=outcome.stats.backtracks,
+            max_depth=outcome.stats.max_depth,
             elapsed=round(time.perf_counter() - t0, 6),
         )
         if outcome.status == "solution":

@@ -17,17 +17,11 @@ encode/decode map at the boundary: it fixes the order in which the search
 tries the lifts, and :func:`solve` decodes each solution into the
 scenario's discriminators ``f(c_j + k_j*m)``.
 
-:func:`solve` runs chronological backtracking with forward checking.
-``unsat`` is reported only after the search space is exhausted; running out
-of budget is a distinct ``aborted`` outcome.
-
-The search kernel is table-driven: every term reads its lift index from a
-shared 3x3 lookup table, the depth-first search runs on an explicit stack
-rather than by recursion, and the unassigned variables are kept in one
-bitset per remaining domain size, so picking the next variable needs no
-scan.  None of this changes the search order (fewest candidates first,
-lowest id on ties), so node and backtrack counts are those of a plain
-recursive search.
+:func:`solve` runs chronological backtracking that keeps every constraint
+group generalized-arc-consistent (GAC).  ``unsat`` is reported only after
+the search space is exhausted; running out of budget is a distinct
+``aborted`` outcome.  The search runs on an explicit stack rather than by
+recursion, and it picks the next variable without a scan.
 
 Variable numbering: position ``<i, l>`` of the table (pair ``i``, component
 ``l``) is variable ``2*i + l``, so ``U_i`` is even and ``V_i`` odd.
@@ -38,6 +32,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING
 
 from .errors import BudgetExceeded, InvalidInput, ScenarioMismatch
@@ -62,12 +57,12 @@ __all__ = [
     "solve",
 ]
 
-#: A colour term's value is its lift index.
 _LIFT = (0, 1, 2)
-#: Lift index of a pair term, ``tab[3*k_a + k_b]``: ``_DIFF[delta]`` for a
-#: row difference, ``_SUM[sigma]`` for a weak sum.
+#: Lift index of a term, ``tab[3*k_a + k_b]``: ``_DIFF[delta]`` for a row
+#: difference, ``_SUM[sigma]`` for a weak sum, ``_COLOUR`` for a colour entry.
 _DIFF = tuple(tuple((a - b - c) % 3 for a in _LIFT for b in _LIFT) for c in (0, 1))
 _SUM = tuple(tuple((a + b + c) % 3 for a in _LIFT for b in _LIFT) for c in (0, 1))
+_COLOUR = tuple(a for a in _LIFT for _ in _LIFT)
 
 
 @dataclass(frozen=True)
@@ -75,8 +70,8 @@ class ConstraintGroup:
     """Terms over lift indices, pairwise distinct; if ``forbid_zero``, also
     nonzero.
 
-    A term is ``(a, b, tab)``.  A pair term (``b >= 0``) has the value
-    ``tab[3*k_a + k_b]``; a colour term (``b == -1``) has ``tab[k_a]``.
+    A term is ``(a, b, tab)`` with the value ``tab[3*k_a + k_b]``.  A colour
+    term has ``b == -1``, a lift that is always free, and the value ``k_a``.
     """
 
     label: str
@@ -117,6 +112,8 @@ class SolveStats:
     nodes: int
     backtracks: int
     elapsed: float
+    #: The most variables assigned at once.
+    max_depth: int
 
 
 @dataclass(frozen=True)
@@ -154,13 +151,8 @@ def compile_instance(tt: TriplicationTable, sc) -> MspInstance:
             ConstraintGroup(f"weak{s}", tuple(sums[i] for i in idx), s == 0)
         )
     for c, positions in tt.monochrome_sets.items():
-        groups.append(
-            ConstraintGroup(
-                f"color{c}",
-                tuple((2 * i + l, -1, _LIFT) for i, l in positions),
-                c == 0,
-            )
-        )
+        terms = tuple((2 * i + l, -1, _COLOUR) for i, l in positions)
+        groups.append(ConstraintGroup(f"color{c}", terms, c == 0))
     return MspInstance(
         scenario=sc,
         residues=tuple(c for pair in tt.pairs for c in pair),
@@ -168,50 +160,74 @@ def compile_instance(tt: TriplicationTable, sc) -> MspInstance:
     )
 
 
-_POPCOUNT = (0, 1, 1, 2, 1, 2, 2, 3)
+@cache
+def _term_lookups(tab: tuple[int, ...], shift: int) -> tuple[list[int], list[int]]:
+    """``(image, push)`` of a pair term with table ``tab`` over 3-bit lift
+    domains ``da`` and ``db``, with ``d = da << 3 | db``: ``image[d]`` is the
+    set of its values shifted left by ``shift``, and ``push[d << 3 | s]`` is
+    ``na << 3 | nb``, the lifts on each side that reach a value in ``s``."""
+    image, push = [0] * 64, [0] * 512
+    for d in range(64):
+        for ka in _LIFT:
+            for kb in _LIFT:
+                if d >> 3 >> ka & d >> kb & 1:
+                    w = 1 << tab[3 * ka + kb]
+                    image[d] |= w << shift
+                    for s in range(8):
+                        if w & s:
+                            push[d << 3 | s] |= 1 << ka << 3 | 1 << kb
+    return image, push
+
+
+@cache
+def _alldiff() -> list[int]:
+    """``support[key]`` for three 3-bit masks packed in ``key``: the values of
+    each that extend to pairwise distinct values of all three, which are
+    the octal numbers with the digits 1, 2 and 4."""
+    support = [0] * 512
+    for p in (0o124, 0o142, 0o214, 0o241, 0o412, 0o421):
+        for key in range(512):
+            if key & p == p:
+                support[key] |= p
+    return support
 
 
 class _Search:
-    """Backtracking with forward checking over lift-index domains.
+    """Backtracking that keeps every constraint group generalized-arc-
+    consistent (GAC) over 3-bit masks of lifts.
 
-    Variable order: fewest remaining candidates first, ties broken by lowest
-    variable id.  Value order: the scenario's ``lift_order``, or a
-    per-variable seeded shuffle of it when sampling.  Deterministic for a
-    fixed seed.
-
-    The kernel reads the instance's terms as they are: a colour term is
-    ``(v, -1, tab)`` with ``tab[k_v]`` its value and a pair term is
-    ``(2i, 2i+1, tab)`` with ``tab[3*k_a + k_b]`` its value, all in ``Z_3``.
-    A group's values seen so far are a 3-bit mask, and a zero-forbidding
-    group starts with bit 0 set.  The search runs on an explicit stack of
-    ``[var, next value index, trail mark]`` frames, so its depth is not
-    bounded by the interpreter's recursion limit.  ``buckets[k]`` is a
-    bitset of the unassigned variables with ``k`` candidates left, kept
-    current on every assign, prune and restore, so selection is the lowest
-    set bit of the first non-empty bucket.
-
-    Forward checking prunes only against values of assigned variables, so
-    its result does not depend on the order in which groups are visited.
-    The nodes expanded therefore depend only on the variable and value
-    order above, which the tables, the stack and the buckets leave as they
-    are.
+    Variable order: fewest candidates first, lowest id on ties, read off
+    ``buckets[k]``, the bitset of the unassigned variables with ``k``
+    candidates.  Value order: the scenario's ``lift_order``, or a seeded
+    per-variable shuffle of it.  The terms of a group read disjoint
+    variables, so revising a group is three lookups: the term images,
+    packed in a 9-bit key, padded with the free image ``0b111`` and with
+    bit 0 masked off if zero is forbidden; their all-different support; and
+    each term's support pushed back onto its lifts.  A colour term's free
+    lift ``-1`` reads the last domain, which stays ``0b111``.  The search
+    runs on an explicit stack of ``[var, next value index, trail mark,
+    domain]`` frames.  The GAC fixpoint is unique whatever the order in
+    which groups are revised, so the nodes expanded depend only on the
+    variable and value order.
     """
 
     def __init__(self, inst: MspInstance, seed=None):
         nv = inst.n_vars
-        self.assign = [-1] * nv
-        self.domain = [0b111] * nv
-        groups: list[list[tuple]] = [[] for _ in range(nv)]
-        for g in inst.groups:
-            group = (g.terms, int(g.forbid_zero))
-            for a, b, _ in g.terms:
-                groups[a].append(group)
+        self.domain = [0b111] * (nv + 1)
+        var_groups: list[list[int]] = [[] for _ in range(nv)]
+        self.groups = []
+        for index, g in enumerate(inst.groups):
+            terms = []
+            for a, b, tab in g.terms:
+                var_groups[a].append(index)
                 if b >= 0:
-                    groups[b].append(group)
-                elif g.forbid_zero:
-                    # A zero-forbidding colour entry never takes lift 0.
-                    self.domain[a] &= 0b110
-        self.var_groups = [tuple(gs) for gs in groups]
+                    var_groups[b].append(index)
+                shift = 3 * len(terms)
+                terms.append((a, b, *_term_lookups(tab, shift), shift))
+            pad = 0o777 ^ ((1 << 3 * len(terms)) - 1)
+            zmask = 0o777 ^ (0o111 & ~pad) if g.forbid_zero else 0o777
+            self.groups.append((tuple(terms), pad, zmask))
+        self.var_groups = [tuple(gs) for gs in var_groups]
         order = inst.scenario.lift_order
         if seed is None:
             self.value_order = [order] * nv
@@ -221,66 +237,51 @@ class _Search:
                 tuple(order[s] for s in rng.sample((0, 1, 2), 3)) for _ in range(nv)
             ]
         self.trail: list[tuple[int, int]] = []
-        self.nodes = 0
-        self.backtracks = 0
-        self.buckets = [0, 0, 0, 0]
-        for v in range(nv):
-            self.buckets[_POPCOUNT[self.domain[v]]] |= 1 << v
+        self.nodes = self.backtracks = self.max_depth = 0
+        self.buckets = [0, 0, 0, (1 << nv) - 1]
+        self.alldiff = _alldiff()
 
-    def _propagate(self, var: int) -> bool:
-        assign, domain, trail, buckets = (
-            self.assign, self.domain, self.trail, self.buckets
+    def _propagate(self, pending: set[int]) -> bool:
+        """Revise the groups in ``pending``, and those of every variable that
+        loses a lift, up to the fixpoint; False on a wipe-out."""
+        domain, trail, buckets, groups, var_groups = (
+            self.domain, self.trail, self.buckets, self.groups, self.var_groups
         )
-        for terms, seen in self.var_groups[var]:
-            # (unassigned variable, tab, offset, stride): its value under
-            # lift ``k`` is ``tab[offset + stride*k]``.
-            pending = []
-            for a, b, tab in terms:
-                sa = assign[a]
-                if b < 0:
-                    if sa < 0:
-                        pending.append((a, tab, 0, 1))
-                        continue
-                    w = tab[sa]
-                else:
-                    sb = assign[b]
-                    if sa < 0:
-                        if sb >= 0:
-                            pending.append((a, tab, sb, 3))
-                        continue
-                    if sb < 0:
-                        pending.append((b, tab, 3 * sa, 1))
-                        continue
-                    w = tab[3 * sa + sb]
-                if (seen >> w) & 1:
-                    return False
-                seen |= 1 << w
-            for u, tab, off, stride in pending:
-                old = mask = domain[u]
-                if mask & 1 and (seen >> tab[off]) & 1:
-                    mask ^= 1
-                if mask & 2 and (seen >> tab[off + stride]) & 1:
-                    mask ^= 2
-                if mask & 4 and (seen >> tab[off + 2 * stride]) & 1:
-                    mask ^= 4
-                if mask != old:
-                    if not mask:
-                        return False
-                    trail.append((u, old))
-                    domain[u] = mask
-                    bit = 1 << u
-                    buckets[_POPCOUNT[old]] ^= bit
-                    buckets[_POPCOUNT[mask]] |= bit
+        alldiff = self.alldiff
+        while pending:
+            g = pending.pop()
+            terms, pad, zmask = groups[g]
+            key = pad
+            for a, b, image, _, _ in terms:
+                key |= image[domain[a] << 3 | domain[b]]
+            support = alldiff[key & zmask]
+            if support | pad == key:
+                continue
+            if not support:
+                return False
+            for a, b, _, push, shift in terms:
+                s = support >> shift & 7
+                if s != key >> shift & 7:
+                    da, db = domain[a], domain[b]
+                    both = push[da << 6 | db << 3 | s]
+                    for u, old, new in ((a, da, both >> 3), (b, db, both & 7)):
+                        if new != old:
+                            trail.append((u, old))
+                            domain[u] = new
+                            bit = 1 << u
+                            buckets[old.bit_count()] ^= bit
+                            buckets[new.bit_count()] |= bit
+                            pending.update(var_groups[u])
+            # A revised group is at its own fixpoint.
+            pending.discard(g)
         return True
 
     def run(self, mode: str, budget, limit):
         found: list[tuple[int, ...]] = []
         count = 0
-        if self.buckets[0]:  # a candidate-free variable: unsat at the root
-            return found, 0, False
-        assign, domain, trail, buckets = (
-            self.assign, self.domain, self.trail, self.buckets
-        )
+        if not self._propagate(set(range(len(self.groups)))):
+            return found, 0, False  # unsat at the root
+        domain, trail, buckets = self.domain, self.trail, self.buckets
         order = self.value_order
         stack: list[list[int]] = []
         descend = True
@@ -289,11 +290,12 @@ class _Search:
                 bucket = buckets[1] or buckets[2] or buckets[3]
                 if bucket:
                     var = (bucket & -bucket).bit_length() - 1
-                    stack.append([var, 0, len(trail)])
+                    stack.append([var, 0, len(trail), domain[var]])
+                    self.max_depth = max(self.max_depth, len(stack))
                 else:
                     count += 1
                     if mode != "count":
-                        found.append(tuple(assign))
+                        found.append(tuple(d.bit_length() - 1 for d in domain[:-1]))
                     if mode == "first":
                         return found, count, False
                     if limit is not None and count >= limit:
@@ -301,21 +303,20 @@ class _Search:
             if not stack:
                 return found, count, False
             frame = stack[-1]
-            var, k, mark = frame
+            var, k, mark, dom = frame
             bit = 1 << var
-            if assign[var] >= 0:
+            if k:
                 # Back from the value tried last: take it back.
-                assign[var] = -1
-                if len(trail) > mark:
-                    for u, old in reversed(trail[mark:]):
-                        ubit = 1 << u
-                        buckets[_POPCOUNT[domain[u]]] ^= ubit
-                        buckets[_POPCOUNT[old]] |= ubit
-                        domain[u] = old
-                    del trail[mark:]
-                buckets[_POPCOUNT[domain[var]]] |= bit
+                for u, old in reversed(trail[mark:]):
+                    ubit = 1 << u
+                    buckets[domain[u].bit_count()] ^= ubit
+                    buckets[old.bit_count()] |= ubit
+                    domain[u] = old
+                del trail[mark:]
+                domain[var] = dom
+                buckets[dom.bit_count()] |= bit
                 self.backtracks += 1
-            dom, values = domain[var], order[var]
+            values = order[var]
             while k < 3 and not (dom >> values[k]) & 1:
                 k += 1
             if k == 3:
@@ -326,9 +327,10 @@ class _Search:
             self.nodes += 1
             if budget is not None and self.nodes > budget:
                 return found, count, True
-            assign[var] = values[k]
-            buckets[_POPCOUNT[dom]] ^= bit
-            descend = self._propagate(var)
+            buckets[dom.bit_count()] ^= bit
+            domain[var] = single = 1 << values[k]
+            # A singleton domain is already supported: nothing to revise.
+            descend = single == dom or self._propagate(set(self.var_groups[var]))
 
 
 def _table_from_assignment(inst: MspInstance, lifts: tuple[int, ...]) -> CongruousTable:
@@ -361,14 +363,10 @@ def solve(
         nodes=search.nodes,
         backtracks=search.backtracks,
         elapsed=time.perf_counter() - t0,
+        max_depth=search.max_depth,
     )
     tables = tuple(_table_from_assignment(inst, sel) for sel in found)
-    if aborted:
-        status = "aborted"
-    elif count > 0:
-        status = "solution"
-    else:
-        status = "unsat"
+    status = "aborted" if aborted else "solution" if count else "unsat"
     return SolveOutcome(status=status, tables=tables, count=count, stats=stats)
 
 

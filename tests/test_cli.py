@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triplication import table_to_json, validate
 from triplication.cli import main
@@ -107,10 +113,12 @@ def test_build_rejects_inadmissible_key(tmp_path):
     assert code == 4
 
 
-def test_build_unsolvable_table_exits_2(tmp_path):
+def test_build_unsolvable_table_exits_2(tmp_path, capsys):
     tt = validate(golden.UNSOLVABLE_11, 11)
     path = write_json(tmp_path / "tt.json", table_to_json(tt))
     assert run(["build", "--tt", path, "--scenario", "carry"]) == 2
+    printed = capsys.readouterr().out
+    assert "solver: unsat (nodes=28842, backtracks=28842, max_depth=25," in printed
 
 
 def test_build_budget_abort_exits_3(tmp_path):
@@ -295,6 +303,7 @@ def test_batch_fixed_table_records_unsat(tmp_path):
     ]
     assert records[0]["outcome"] == "unsat"
     assert records[0]["index"] == "fixed:tt.json"
+    assert records[0]["max_depth"] == 25
 
 
 def test_batch_resume_skips_fixed_table_job(tmp_path):
@@ -441,6 +450,20 @@ def test_batch_resume_redoes_truncated_last_record(tmp_path):
     assert redone == expected
 
 
+def test_batch_resume_accepts_records_without_max_depth(tmp_path):
+    args = ["batch", "--orders", "7", "--samples", 2, "--outdir", tmp_path]
+    assert run(args) == 0
+    log = tmp_path / "batch_log.jsonl"
+    older = [json.loads(l) for l in log.read_text().splitlines()]
+    for r in older:
+        del r["max_depth"]  # as written before the counter existed
+    log.write_text("".join(json.dumps(r) + "\n" for r in older))
+    assert run(args + ["--samples", 3]) == 0
+    records = [json.loads(l) for l in log.read_text().splitlines()]
+    # A solution at m = 7 assigns all 20 variables at once.
+    assert records[:2] == older and records[2]["max_depth"] == 20
+
+
 def test_batch_resume_rejects_malformed_inner_line(tmp_path):
     args = ["batch", "--orders", "7", "--samples", 3, "--outdir", tmp_path]
     assert run(args) == 0
@@ -500,6 +523,69 @@ def test_internal_verification_failure_exits_5(tmp_path, monkeypatch):
          "--key", 1, "--scenario", "carry", "--outdir", tmp_path]
     )
     assert code == 5
+
+
+# --------------------------------------------------------------------- fuzz
+
+_INTS = st.integers(-3, 60)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _INTS | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+_PAIRS = st.just(T0_7) | st.lists(st.lists(_INTS, max_size=3), max_size=8) | _JSON
+_SPEC = st.fixed_dictionaries(
+    {"mode": st.sampled_from(["one-starter", "three-starter", "epicycloidal"]) | _JSON,
+     "m": st.just(7) | _INTS | _JSON,
+     "T0": _PAIRS},
+    optional={"T1": _PAIRS, "T2": _PAIRS, "mu": _INTS | _JSON, "key": _INTS | _JSON},
+)
+_RECORD = st.fixed_dictionaries(
+    {"m": st.just(5) | _INTS | _JSON,
+     "index": _INTS | st.text(max_size=3) | _JSON,
+     "outcome": st.sampled_from(["solution", "unsat", "aborted", "sample_aborted",
+                                 "error"]) | _JSON},
+    optional={"error": st.text(max_size=6) | _JSON, "max_depth": _JSON},
+)
+_FUZZ = {
+    "verify": _JSON
+    | st.fixed_dictionaries(
+        {"m": st.just(7) | _INTS | _JSON, "rows": st.lists(_PAIRS, max_size=4) | _JSON},
+        optional={"key": _INTS | _JSON, "signs": _PAIRS},
+    )
+    | st.fixed_dictionaries({"order": _INTS | _JSON, "pairs": _PAIRS})
+    | st.fixed_dictionaries({"modulus": _INTS | _JSON, "pairs": _PAIRS}),
+    "build --spec": _SPEC,
+    "keys --spec": _SPEC,
+    "batch": st.tuples(st.lists(_RECORD | _JSON, max_size=4), st.booleans()),
+}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(command=st.sampled_from(sorted(_FUZZ)), data=st.data())
+def test_fuzzed_json_input_exits_with_a_documented_code(command, data):
+    doc = data.draw(_FUZZ[command])
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        if command == "batch":
+            # a resumed log: generated lines, the last one perhaps cut short
+            lines, cut = doc
+            text = "".join(json.dumps(line) + "\n" for line in lines)
+            with open(os.path.join(d, "batch_log.jsonl"), "w") as fh:
+                fh.write(text[:-1] if cut else text)
+            argv = ["batch", "--orders", 5, "--samples", 2, "--outdir", d]
+        else:
+            path = os.path.join(d, "in.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            argv = command.split() + [path]
+            if command == "build --spec":
+                argv += ["--outdir", d]
+        code = run(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
 
 
 # ------------------------------------------------------------- entry point

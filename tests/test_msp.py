@@ -166,27 +166,28 @@ def test_budget_abort_is_distinct_from_unsat():
 @pytest.mark.parametrize("kind", ["mod", "carry"])
 def test_search_counters_are_pinned(kind):
     # The exact search: a kernel change that keeps variable and value order
-    # must expand exactly these nodes.
+    # and the strength of propagation must expand exactly these nodes.
     for pairs, m, expected in (
-        (golden.UNSOLVABLE_11, 11, ("unsat", 113582, 113582)),
-        (golden.UNSOLVABLE_13, 13, ("unsat", 56194, 56194)),
+        (golden.UNSOLVABLE_11, 11, ("unsat", 28842, 28842, 25)),
+        (golden.UNSOLVABLE_13, 13, ("unsat", 25894, 25894, 31)),
     ):
         out = solve(compile_instance(validate(pairs, m), Scenario(kind, m)))
-        assert (out.status, out.stats.nodes, out.stats.backtracks) == expected
+        st = out.stats
+        assert (out.status, st.nodes, st.backtracks, st.max_depth) == expected
     if kind == "carry":
         got = [(tt.m, o.stats.nodes, o.stats.backtracks) for tt, o in chain_tables(2)]
-        assert got == [(7, 24, 4), (21, 62, 0)]
+        assert got == [(7, 21, 1), (21, 63, 1)]
     if kind == "mod":
         # m = 11 has 3-free part p = 11 = 2 (mod 3): the mod discriminators
         # list the lifts of a residue in the order 0, 2, 1, and so must the
         # search, plain and seeded.
         inst = compile_instance(random_tt(11, 0), Scenario("mod", 11))
         for seed, expected, first in (
-            (None, (103, 71), (
+            (None, (50, 18), (
                 (1, 2), (0, 2), (2, 2), (2, 0), (1, 0), (1, 1), (1, 2), (1, 0),
                 (0, 1), (1, 1), (0, 1), (0, 2), (0, 0), (0, 2), (1, 2), (2, 2),
             )),
-            (3, (133, 101), (
+            (3, (58, 26), (
                 (1, 0), (2, 2), (0, 2), (1, 2), (0, 0), (1, 0), (2, 0), (1, 2),
                 (1, 1), (1, 0), (1, 1), (1, 0), (1, 2), (2, 2), (0, 2), (2, 0),
             )),
@@ -206,7 +207,20 @@ def test_search_depth_is_not_bounded_by_recursion_limit():
         out = solve(inst, mode="first")
     finally:
         sys.setrecursionlimit(limit)
-    assert out.status == "solution" and out.stats.nodes == 62
+    assert out.status == "solution" and out.stats.nodes == 63
+    assert out.stats.max_depth == 62
+
+
+@pytest.mark.parametrize("kind", ["mod", "carry"])
+def test_solution_counts_pinned_where_three_divides_m(kind):
+    # m = 9, where 3 | m: the oracles take about 40 s a table here, so the
+    # counts, taken from an exhaustive forward-checking search, stand in.
+    for s, expected in enumerate((162, 84, 72, 204)):
+        tt = random_tt(9, 3000 + s)
+        sc = Scenario(kind, 9)
+        out = solve(compile_instance(tt, sc), mode="all")
+        assert out.count == len(set(out.tables)) == expected
+        assert all(check_congruous(tt, ct, sc) for ct in out.tables)
 
 
 def test_solve_modes_are_consistent():
