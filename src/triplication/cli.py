@@ -26,8 +26,9 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
+from dataclasses import fields
 
-from .errors import BudgetExceeded, InvalidInput, KeyNotAdmissible, NotATable, TriplicationError
+from .errors import BudgetExceeded, InvalidInput, NotATable, TriplicationError
 from .msp import compile_instance, random_tt, solution_to_json, solve
 from .pairings import Pairing, _int, classify, pairing_from_json
 from .recovery import recover_starter, starter_from_json, starter_to_json
@@ -82,6 +83,11 @@ def _spec_from_args(args) -> dict:
     return spec
 
 
+def _counters(stats) -> dict:
+    """The solver's exact counters: every ``SolveStats`` field but its time."""
+    return {f.name: getattr(stats, f.name) for f in fields(stats) if f.name != "elapsed"}
+
+
 def _outdir(args) -> str:
     out = getattr(args, "outdir", None) or os.environ.get("TRIPLICATE_OUTDIR") or "."
     os.makedirs(out, exist_ok=True)
@@ -101,21 +107,14 @@ def cmd_build(args) -> int:
         if key is None:
             raise InvalidInput("a key is required (--key or spec file)")
         key = _int(key, "key")
-        try:
-            tt = template_table(*base, key)
-        except KeyNotAdmissible:
-            print(f"key {key} is not admissible; K = {sorted(admissible_keys(*base))}")
-            return EXIT_INVALID
+        tt = template_table(*base, key)
         provenance_spec = {"template": spec, "key": key}
     sc = Scenario(scenario_kind, tt.m)
     inst = compile_instance(tt, sc)
     outcome = solve(inst, mode="first", budget=args.budget, seed=args.seed)
     print(render_table(tt))
-    st = outcome.stats
-    print(
-        f"solver: {outcome.status} (nodes={st.nodes}, backtracks={st.backtracks}, "
-        f"max_depth={st.max_depth}, elapsed={st.elapsed:.3f}s)"
-    )
+    counters = "".join(f"{name}={n}, " for name, n in _counters(outcome.stats).items())
+    print(f"solver: {outcome.status} ({counters}elapsed={outcome.stats.elapsed:.3f}s)")
     if outcome.status == "unsat":
         return EXIT_UNSAT
     if outcome.status == "aborted":
@@ -202,9 +201,7 @@ def _batch_job(job: tuple) -> dict:
         outcome = solve(compile_instance(tt, sc), mode="first", budget=budget)
         record.update(
             outcome=outcome.status,
-            nodes=outcome.stats.nodes,
-            backtracks=outcome.stats.backtracks,
-            max_depth=outcome.stats.max_depth,
+            **_counters(outcome.stats),
             elapsed=round(time.perf_counter() - t0, 6),
         )
         if outcome.status == "solution":
@@ -259,8 +256,6 @@ def cmd_batch(args) -> int:
     orders = [int(x) for x in args.orders.split(",")] if args.orders else []
     if args.samples < 1 and not args.fixed_tt:
         raise InvalidInput("sample count must be >= 1")
-    if args.budget is not None and args.budget <= 0:
-        raise InvalidInput("budget must be positive")
     # Orders and table files are checked here, before any job runs, so that
     # bad input ends the run with an error instead of failing inside a job.
     for m in orders:
@@ -375,6 +370,9 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        # ``build`` and ``batch`` share the solver budget flag and its check.
+        if getattr(args, "budget", None) is not None and args.budget < 1:
+            raise InvalidInput("budget must be positive")
         return args.func(args)
     except (TriplicationError, OSError, json.JSONDecodeError, ValueError) as exc:
         code, prefix = _exit_for(type(exc).__name__)

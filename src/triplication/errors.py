@@ -44,7 +44,7 @@ class InconsistentOrdering(InvalidInput):
 
 
 class KeyNotAdmissible(TriplicationError):
-    """The requested key produces duplicate pairs in the template."""
+    """The requested key lies outside ``1..m-1`` or duplicates a template pair."""
 
 
 class MultiplierNotInvertible(InvalidInput):

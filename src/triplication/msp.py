@@ -356,6 +356,8 @@ def solve(
     """
     if mode not in ("first", "all", "count"):
         raise InvalidInput(f"unknown mode {mode!r}")
+    if limit is not None and limit < 1:
+        raise InvalidInput(f"limit must be >= 1, got {limit}")
     search = _Search(inst, seed=seed)
     t0 = time.perf_counter()
     found, count, aborted = search.run(mode, budget, limit)

@@ -267,6 +267,8 @@ def enumerate_strong_starters(
         raise InvalidInput(f"order must be odd and >= 3, got {m}")
     if m > 15 and not allow_large:
         raise OrderTooLarge(f"m={m} enumeration needs allow_large=True")
+    if limit is not None and limit < 1:
+        raise InvalidInput(f"limit must be >= 1, got {limit}")
     q = (m - 1) // 2
     out: list[Pairing] = []
     used = [False] * m

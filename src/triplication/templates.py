@@ -170,14 +170,21 @@ def template_table(
     """The template of one key, built once and validated as a table.
 
     Raises :class:`KeyNotAdmissible` when ``key`` is not admissible: outside
-    ``1..m-1``, or duplicating a pair in the template.
+    ``1..m-1``, or duplicating a pair in the template.  The message names the
+    reason and the admissible key set ``K``.
     """
     t0, t1, t2 = _checked_base(t0, t1, t2)
     m = t0.modulus
-    pairs = _emit(t0, t1, t2, key)
-    if not 1 <= key < m or len(set(pairs)) != len(pairs):
-        raise KeyNotAdmissible(f"key {key} duplicates a pair in the template")
-    return validate(pairs, m)
+    if not 1 <= key < m:
+        reason = f"lies outside 1..{m - 1}"
+    else:
+        pairs = _emit(t0, t1, t2, key)
+        repeats = [pair for pair, n in Counter(pairs).items() if n > 1]
+        if not repeats:
+            return validate(pairs, m)
+        reason = f"duplicates the pair {repeats[0]} in the template"
+    keys = sorted(admissible_keys(t0, t1, t2))
+    raise KeyNotAdmissible(f"key {key} is not admissible: it {reason}; K = {keys}")
 
 
 def one_starter_table(t: Pairing, key: int) -> TriplicationTable:

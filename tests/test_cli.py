@@ -6,12 +6,13 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triplication import table_to_json, validate
+from triplication import Scenario, SolveStats, compile_instance, solve, table_to_json, validate
 from triplication.cli import main
 
 import golden
@@ -105,12 +106,16 @@ def test_build_three_starter_rejects_pseudostarter_base(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_build_rejects_inadmissible_key(tmp_path):
+def test_build_rejects_inadmissible_key(tmp_path, capsys):
     code = run(
         ["build", "--mode", "one-starter", "--m", 7, "--T0", "2,3;4,6;5,1",
          "--key", 3, "--scenario", "carry", "--outdir", tmp_path]
     )
     assert code == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: key 3 is not admissible: it duplicates the pair (4, 6)")
+    assert err.endswith("; K = [1, 2, 4]\n") and err.count("\n") == 1
 
 
 def test_build_unsolvable_table_exits_2(tmp_path, capsys):
@@ -125,6 +130,22 @@ def test_build_budget_abort_exits_3(tmp_path):
     tt = validate(golden.UNSOLVABLE_13, 13)
     path = write_json(tmp_path / "tt.json", table_to_json(tt))
     assert run(["build", "--tt", path, "--scenario", "mod", "--budget", 10]) == 3
+
+
+def test_cli_reports_every_solver_counter(tmp_path, capsys):
+    # build's solver: line and a batch record carry every SolveStats field but
+    # its time, so a new counter needs no CLI change.
+    tt = validate(golden.TABLE_7_KEY1, 7)
+    stats = solve(compile_instance(tt, Scenario("carry", 7))).stats
+    counters = [f.name for f in fields(SolveStats) if f.name != "elapsed"]
+    path = write_json(tmp_path / "tt.json", table_to_json(tt))
+    assert run(["build", "--tt", path, "--outdir", tmp_path]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("solver:"))
+    assert run(["batch", "--samples", 1, "--fixed-tt", path, "--outdir", tmp_path]) == 0
+    record = json.loads((tmp_path / "batch_log.jsonl").read_text())
+    for name in counters:
+        assert f"{name}={getattr(stats, name)}," in line
+        assert record[name] == getattr(stats, name)
 
 
 def test_build_invalid_file_exits_4(tmp_path):
@@ -243,13 +264,15 @@ TABLE_7_ENTRY_2_9["rows"][1][0][0] = 2.9  # the pair (2, 3) written (2.9, 3)
         (["build", "--spec"], {"mode": "one-starter", "m": 7, "T0": T0_7}),
         (["batch", "--orders", 7, "--samples", 0], None),
         (["batch", "--orders", 7, "--samples", 1, "--budget", 0], None),
+        (["build", "--mode", "one-starter", "--m", 7, "--T0", "2,3;4,6;1,5", "--key", 1,
+          "--budget", 0], None),
         (["build", "--spec"], {"mode": "one-starter", "m": 7.9, "T0": T0_7, "key": 1}),
         (["build", "--spec"], {"mode": "one-starter", "m": 7, "T0": T0_7, "key": 1.5}),
         (["build", "--spec"], {"mode": "one-starter", "m": 7, "T0": T0_7, "key": True}),
         (["verify"], TABLE_7_ENTRY_2_9),
     ],
     ids=["verify-non-object", "build-list-key", "build-list-mu", "build-m0", "keys-m0",
-         "keys-no-spec", "build-no-key", "batch-samples0", "batch-budget0",
+         "keys-no-spec", "build-no-key", "batch-samples0", "batch-budget0", "build-budget0",
          "build-float-m", "build-float-key", "build-bool-key", "verify-float-entry"],
 )
 def test_ill_typed_input_exits_4(tmp_path, capsys, monkeypatch, argv, doc):

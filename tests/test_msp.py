@@ -239,6 +239,10 @@ def test_solve_all_limit_guard():
     inst = compile_instance(table7(), Scenario("carry", 7))
     out = solve(inst, mode="all", limit=10)
     assert out.status == "aborted" and out.count == 10
+    for mode in ("all", "count"):
+        for limit in (0, -3):
+            with pytest.raises(InvalidInput):
+                solve(inst, mode=mode, limit=limit)
 
 
 def test_solve_is_deterministic():

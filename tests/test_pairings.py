@@ -179,6 +179,10 @@ def test_enumerate_no_duplicates_and_counts():
 
 def test_enumerate_limit_and_guard():
     assert len(enumerate_strong_starters(11, limit=2)) == 2
+    assert len(enumerate_strong_starters(7, limit=2)) == 2
+    for limit in (0, -1):
+        with pytest.raises(InvalidInput):
+            enumerate_strong_starters(7, limit=limit)
     with pytest.raises(OrderTooLarge):
         enumerate_strong_starters(17)
     assert len(enumerate_strong_starters(17, limit=1, allow_large=True)) == 1

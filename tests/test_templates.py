@@ -194,6 +194,16 @@ def test_admissible_keys_complement_of_sums():
             one_starter_table(t, bad)
 
 
+def test_inadmissible_key_error_names_reason_and_key_set():
+    t = Pairing(7, golden.STARTER_7_A)
+    for key in (0, 7, -1):
+        with pytest.raises(KeyNotAdmissible, match=rf"^key {key} .* outside 1\.\.6; K = \[1, 2, 4\]"):
+            one_starter_table(t, key)
+    # row 2 of the key-3 template holds (4, 6) from T0 and again from T2 + 3
+    with pytest.raises(KeyNotAdmissible, match=r"^key 3 .* the pair \(4, 6\) .*; K = \[1, 2, 4\]$"):
+        one_starter_table(t, 3)
+
+
 def test_patterned_starter_and_its_empty_key_set():
     p = patterned_starter(7)
     assert {tuple(sorted(pair)) for pair in p.pairs} == {(1, 6), (2, 5), (3, 4)}
