@@ -63,6 +63,7 @@ _LIFT = (0, 1, 2)
 _DIFF = tuple(tuple((a - b - c) % 3 for a in _LIFT for b in _LIFT) for c in (0, 1))
 _SUM = tuple(tuple((a + b + c) % 3 for a in _LIFT for b in _LIFT) for c in (0, 1))
 _COLOUR = tuple(a for a in _LIFT for _ in _LIFT)
+_SIZE = (0, 1, 1, 2, 1, 2, 2, 3)  # the number of lifts in a 3-bit domain
 
 
 @dataclass(frozen=True)
@@ -180,16 +181,24 @@ def _term_lookups(tab: tuple[int, ...], shift: int) -> tuple[list[int], list[int
 
 
 @cache
-def _alldiff() -> list[int]:
-    """``support[key]`` for three 3-bit masks packed in ``key``: the values of
-    each that extend to pairwise distinct values of all three, which are
-    the octal numbers with the digits 1, 2 and 4."""
-    support = [0] * 512
-    for p in (0o124, 0o142, 0o214, 0o241, 0o412, 0o421):
-        for key in range(512):
-            if key & p == p:
-                support[key] |= p
-    return support
+def _revision(n: int, forbid_zero: bool) -> list[tuple[int, tuple[int, ...]]]:
+    """``(support, lost)`` for each ``key`` packing the images of ``n`` terms,
+    3 bits a term: ``support`` holds the values of each that extend to
+    pairwise distinct values of all, nonzero if ``forbid_zero``, and
+    ``lost`` the indices of the terms with a value outside it.  Padded with
+    free images ``0b111`` to three terms, the distinct values are the octal
+    numbers with the digits 1, 2 and 4."""
+    pad = 0o777 ^ ((1 << 3 * n) - 1)
+    zmask = 0o777 ^ (0o111 & ~pad) if forbid_zero else 0o777
+    revision, entries = [], {}
+    for key in range(1 << 3 * n):
+        support = 0
+        for p in (0o124, 0o142, 0o214, 0o241, 0o412, 0o421):
+            if (key | pad) & zmask & p == p:
+                support |= p
+        entry = (support, tuple(i for i in range(n) if (key ^ support) >> 3 * i & 7))
+        revision.append(entries.setdefault(entry, entry))
+    return revision
 
 
 class _Search:
@@ -198,17 +207,18 @@ class _Search:
 
     Variable order: fewest candidates first, lowest id on ties, read off
     ``buckets[k]``, the bitset of the unassigned variables with ``k``
-    candidates.  Value order: the scenario's ``lift_order``, or a seeded
-    per-variable shuffle of it.  The terms of a group read disjoint
-    variables, so revising a group is three lookups: the term images,
-    packed in a 9-bit key, padded with the free image ``0b111`` and with
-    bit 0 masked off if zero is forbidden; their all-different support; and
-    each term's support pushed back onto its lifts.  A colour term's free
-    lift ``-1`` reads the last domain, which stays ``0b111``.  The search
-    runs on an explicit stack of ``[var, next value index, trail mark,
-    domain]`` frames.  The GAC fixpoint is unique whatever the order in
-    which groups are revised, so the nodes expanded depend only on the
-    variable and value order.
+    candidates, where ``k = _SIZE[domain]``.  Value order: the scenario's
+    ``lift_order``, or a seeded per-variable shuffle of it.  The terms of a
+    group read disjoint variables, so revising a group is three lookups:
+    the term images, packed in a 9-bit key; the group's ``_revision`` entry
+    for the key, which holds their all-different support and the terms that
+    lose a value; and the support of each of those terms pushed back onto
+    its lifts.  A colour term's free lift ``-1`` reads the last domain,
+    which stays ``0b111``.  The search runs on an explicit stack of ``[var,
+    next value index, trail mark, domain, buckets]`` frames; backtracking
+    restores the domains from the trail and the buckets from the frame.  The
+    GAC fixpoint is unique whatever the order in which groups are revised,
+    so the nodes expanded depend only on the variable and value order.
     """
 
     def __init__(self, inst: MspInstance, seed=None):
@@ -224,10 +234,8 @@ class _Search:
                     var_groups[b].append(index)
                 shift = 3 * len(terms)
                 terms.append((a, b, *_term_lookups(tab, shift), shift))
-            pad = 0o777 ^ ((1 << 3 * len(terms)) - 1)
-            zmask = 0o777 ^ (0o111 & ~pad) if g.forbid_zero else 0o777
-            self.groups.append((tuple(terms), pad, zmask))
-        self.var_groups = [tuple(gs) for gs in var_groups]
+            self.groups.append((tuple(terms), _revision(len(terms), g.forbid_zero)))
+        self.var_groups = [frozenset(gs) for gs in var_groups]
         order = inst.scenario.lift_order
         if seed is None:
             self.value_order = [order] * nv
@@ -239,39 +247,42 @@ class _Search:
         self.trail: list[tuple[int, int]] = []
         self.nodes = self.backtracks = self.max_depth = 0
         self.buckets = [0, 0, 0, (1 << nv) - 1]
-        self.alldiff = _alldiff()
 
     def _propagate(self, pending: set[int]) -> bool:
         """Revise the groups in ``pending``, and those of every variable that
         loses a lift, up to the fixpoint; False on a wipe-out."""
-        domain, trail, buckets, groups, var_groups = (
-            self.domain, self.trail, self.buckets, self.groups, self.var_groups
+        domain, trail, buckets, groups, var_groups, size = (
+            self.domain, self.trail, self.buckets, self.groups, self.var_groups, _SIZE
         )
-        alldiff = self.alldiff
         while pending:
             g = pending.pop()
-            terms, pad, zmask = groups[g]
-            key = pad
+            terms, revision = groups[g]
+            key = 0
             for a, b, image, _, _ in terms:
                 key |= image[domain[a] << 3 | domain[b]]
-            support = alldiff[key & zmask]
-            if support | pad == key:
+            support, lost = revision[key]
+            if not lost:
                 continue
             if not support:
                 return False
-            for a, b, _, push, shift in terms:
-                s = support >> shift & 7
-                if s != key >> shift & 7:
-                    da, db = domain[a], domain[b]
-                    both = push[da << 6 | db << 3 | s]
-                    for u, old, new in ((a, da, both >> 3), (b, db, both & 7)):
-                        if new != old:
-                            trail.append((u, old))
-                            domain[u] = new
-                            bit = 1 << u
-                            buckets[old.bit_count()] ^= bit
-                            buckets[new.bit_count()] |= bit
-                            pending.update(var_groups[u])
+            for i in lost:
+                a, b, _, push, shift = terms[i]
+                da, db = domain[a], domain[b]
+                both = push[da << 6 | db << 3 | support >> shift & 7]
+                new = both >> 3
+                if new != da:
+                    trail.append((a, da))
+                    domain[a] = new
+                    buckets[size[da]] ^= 1 << a
+                    buckets[size[new]] |= 1 << a
+                    pending |= var_groups[a]
+                new = both & 7
+                if new != db:
+                    trail.append((b, db))
+                    domain[b] = new
+                    buckets[size[db]] ^= 1 << b
+                    buckets[size[new]] |= 1 << b
+                    pending |= var_groups[b]
             # A revised group is at its own fixpoint.
             pending.discard(g)
         return True
@@ -283,14 +294,14 @@ class _Search:
             return found, 0, False  # unsat at the root
         domain, trail, buckets = self.domain, self.trail, self.buckets
         order = self.value_order
-        stack: list[list[int]] = []
+        stack: list[list] = []
         descend = True
         while True:
             if descend:
                 bucket = buckets[1] or buckets[2] or buckets[3]
                 if bucket:
                     var = (bucket & -bucket).bit_length() - 1
-                    stack.append([var, 0, len(trail), domain[var]])
+                    stack.append([var, 0, len(trail), domain[var], buckets[:]])
                     self.max_depth = max(self.max_depth, len(stack))
                 else:
                     count += 1
@@ -303,18 +314,14 @@ class _Search:
             if not stack:
                 return found, count, False
             frame = stack[-1]
-            var, k, mark, dom = frame
-            bit = 1 << var
+            var, k, mark, dom, saved = frame
             if k:
                 # Back from the value tried last: take it back.
                 for u, old in reversed(trail[mark:]):
-                    ubit = 1 << u
-                    buckets[domain[u].bit_count()] ^= ubit
-                    buckets[old.bit_count()] |= ubit
                     domain[u] = old
                 del trail[mark:]
                 domain[var] = dom
-                buckets[dom.bit_count()] |= bit
+                buckets[:] = saved
                 self.backtracks += 1
             values = order[var]
             while k < 3 and not (dom >> values[k]) & 1:
@@ -327,7 +334,7 @@ class _Search:
             self.nodes += 1
             if budget is not None and self.nodes > budget:
                 return found, count, True
-            buckets[dom.bit_count()] ^= bit
+            buckets[_SIZE[dom]] ^= 1 << var
             domain[var] = single = 1 << values[k]
             # A singleton domain is already supported: nothing to revise.
             descend = single == dom or self._propagate(set(self.var_groups[var]))
@@ -352,12 +359,14 @@ def solve(
 
     ``mode="first"`` stops at one solution; ``"all"`` enumerates every
     solution (``limit`` guards runaway enumeration); ``"count"`` counts
-    without materializing tables.  ``budget`` caps expanded nodes.
+    without materializing tables.  ``budget`` caps expanded nodes.  A
+    ``budget`` or ``limit`` below 1 raises :class:`InvalidInput`.
     """
     if mode not in ("first", "all", "count"):
         raise InvalidInput(f"unknown mode {mode!r}")
-    if limit is not None and limit < 1:
-        raise InvalidInput(f"limit must be >= 1, got {limit}")
+    for name, value in (("limit", limit), ("budget", budget)):
+        if value is not None and value < 1:
+            raise InvalidInput(f"{name} must be >= 1, got {value}")
     search = _Search(inst, seed=seed)
     t0 = time.perf_counter()
     found, count, aborted = search.run(mode, budget, limit)
@@ -469,7 +478,7 @@ def random_tt(
     caps, and within-row dedup; dead ends restart with a fresh key rather
     than backtracking, which keeps sampling fast.  The output always
     validates.  Raises :class:`BudgetExceeded` if ``budget`` placements are
-    exhausted.
+    exhausted, and :class:`InvalidInput` for a ``budget`` below 1.
 
     The candidates are bitsets over ``Z_m``: ``avail`` holds the values
     still to be placed, ``half`` holds ``h`` while the sum ``2h`` is below
@@ -485,6 +494,8 @@ def random_tt(
     """
     if m < 5 or m % 2 == 0:
         raise InvalidInput(f"order must be odd and >= 5, got {m}")
+    if budget is not None and budget < 1:
+        raise InvalidInput(f"budget must be >= 1, got {budget}")
     rng = random.Random(seed)
     randrange = rng.randrange
     q = (m - 1) // 2

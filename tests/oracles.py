@@ -1,9 +1,10 @@
-"""Independent solution enumerators used to cross-check the solver.
+"""Independent oracles used to cross-check the solver.
 
-Both oracles produce the complete solution set of a table/scenario pair
+Two enumerators produce the complete solution set of a table/scenario pair
 without any search: candidates are generated exhaustively and filtered by
 evaluating the defining constraints through decode-and-reencode, never
-through the solver's compiled expressions.
+through the solver's compiled expressions.  :func:`gac_closure` computes
+the propagation fixpoint the solver must reach, the same way.
 """
 
 import itertools
@@ -156,3 +157,65 @@ def solutions_literal(tt, sc):
         values = [int(vals[j][h]) for j in range(nvars)]
         out.add(tuple((values[2 * i], values[2 * i + 1]) for i in range(n)))
     return out
+
+
+def _groups(tt, sc):
+    """Every constraint group as ``(variables, nonzero, values)``: ``values``
+    maps the lifts of those variables in ``Z_{3m}`` to the discriminators
+    that must be pairwise distinct, and nonzero if ``nonzero``."""
+    n3 = 3 * tt.m
+    f = [sc.f(x) for x in range(n3)]
+    colors, weak = _structures(tt)
+
+    def diffs(x):
+        return [f[(x[t] - x[t + 1]) % n3] for t in range(0, len(x), 2)]
+
+    def sums(x):
+        return [f[(x[t] + x[t + 1]) % n3] for t in range(0, len(x), 2)]
+
+    def entries(x):
+        return [f[w] for w in x]
+
+    def pair_vars(idx):
+        return tuple(j for i in idx for j in (2 * i, 2 * i + 1))
+
+    groups = [(pair_vars([0]), True, diffs)]
+    for d in range(1, tt.q + 1):
+        groups.append((pair_vars(range(3 * d - 2, 3 * d + 1)), False, diffs))
+    for s, idx in weak.items():
+        groups.append((pair_vars(idx), s == 0, sums))
+    for c, positions in colors.items():
+        groups.append((tuple(positions), c == 0, entries))
+    return groups
+
+
+def gac_closure(tt, sc, domains):
+    """The generalized-arc-consistent closure of ``domains`` by brute force.
+
+    ``domains[j]`` is the set of lift indices ``k`` still allowed at
+    variable ``j`` (position ``<i, l>`` is ``j = 2*i + l``), which stands
+    for ``x_j = c_j + k*m``.  Each group is revised by walking every joint
+    lift of its variables, at most ``3^6 = 729``, and keeping the lifts that
+    take part in a tuple satisfying the group, until no domain changes.
+    Returns the closed domains, or None if one of them empties.
+    """
+    residues = [c for pair in tt.pairs for c in pair]
+    doms = [set(d) for d in domains]
+    groups = _groups(tt, sc)
+    changed = True
+    while changed:
+        changed = False
+        for variables, nonzero, values in groups:
+            kept = [set() for _ in variables]
+            for ks in itertools.product(*(sorted(doms[j]) for j in variables)):
+                ws = values([residues[j] + k * tt.m for j, k in zip(variables, ks)])
+                if len(set(ws)) == len(ws) and not (nonzero and 0 in ws):
+                    for s, k in zip(kept, ks):
+                        s.add(k)
+            for j, s in zip(variables, kept):
+                if not s:
+                    return None
+                if s != doms[j]:
+                    doms[j] = s
+                    changed = True
+    return doms

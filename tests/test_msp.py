@@ -1,4 +1,5 @@
 import hashlib
+import random
 import sys
 
 import pytest
@@ -22,9 +23,10 @@ from triplication import (
     solve,
     validate,
 )
+from triplication.msp import _Search
 
 import golden
-from oracles import solutions_by_color_classes, solutions_literal
+from oracles import gac_closure, solutions_by_color_classes, solutions_literal
 
 
 def table7():
@@ -163,6 +165,15 @@ def test_budget_abort_is_distinct_from_unsat():
     assert out.status == "aborted"
 
 
+def test_budget_below_one_is_invalid_input():
+    inst = compile_instance(table7(), Scenario("carry", 7))
+    for budget in (0, -5):
+        for mode in ("first", "all", "count"):
+            with pytest.raises(InvalidInput, match="budget"):
+                solve(inst, mode=mode, budget=budget)
+    assert solve(inst, mode="first", budget=1).status == "aborted"
+
+
 @pytest.mark.parametrize("kind", ["mod", "carry"])
 def test_search_counters_are_pinned(kind):
     # The exact search: a kernel change that keeps variable and value order
@@ -175,8 +186,8 @@ def test_search_counters_are_pinned(kind):
         st = out.stats
         assert (out.status, st.nodes, st.backtracks, st.max_depth) == expected
     if kind == "carry":
-        got = [(tt.m, o.stats.nodes, o.stats.backtracks) for tt, o in chain_tables(2)]
-        assert got == [(7, 21, 1), (21, 63, 1)]
+        got = [(tt.m, o.stats.nodes, o.stats.backtracks) for tt, o in chain_tables(3)]
+        assert got == [(7, 21, 1), (21, 63, 1), (63, 6585, 6397)]
     if kind == "mod":
         # m = 11 has 3-free part p = 11 = 2 (mod 3): the mod discriminators
         # list the lifts of a residue in the order 0, 2, 1, and so must the
@@ -309,6 +320,60 @@ def test_color_class_oracle_matches_literal_enumeration(kind):
     assert solutions_by_color_classes(tt, sc) == solutions_literal(tt, sc)
 
 
+def _lifts(domain):
+    """The lift indices left in each 3-bit domain, as sets."""
+    return [{k for k in range(3) if d >> k & 1} for d in domain]
+
+
+def _buckets(domain):
+    """The variables with 0, 1, 2 and 3 lifts left, as bitsets."""
+    out = [0] * 4
+    for j, d in enumerate(domain):
+        out[d.bit_count()] |= 1 << j
+    return out
+
+
+@pytest.mark.parametrize("m", [7, 9, 11])
+def test_propagation_reaches_the_gac_closure(m):
+    """From random reachable states, ``_Search._propagate`` prunes every
+    group to the brute-force GAC closure, or wipes out exactly when it
+    does, and keeps its buckets in step with the domains."""
+    rng = random.Random(m)
+    checked = wipeouts = 0
+    for seed, kind in ((0, "mod"), (1, "carry"), (2, "mod")):
+        tt = random_tt(m, seed=seed)
+        sc = Scenario(kind, m)
+        inst = compile_instance(tt, sc)
+        nv = inst.n_vars
+        for _ in range(4):
+            search = _Search(inst)
+            domain = search.domain
+            # Root: prune a few random lifts at once, then revise every group.
+            for j in rng.sample(range(nv), 3):
+                domain[j] &= ~(1 << rng.randrange(3))
+            pending = set(range(len(search.groups)))
+            while True:
+                search.buckets = _buckets(domain[:-1])
+                closure = gac_closure(tt, sc, _lifts(domain[:-1]))
+                if not search._propagate(pending):
+                    assert closure is None
+                    wipeouts += 1
+                    break
+                assert closure is not None
+                assert _lifts(domain[:-1]) == closure
+                assert domain[-1] == 0b111
+                assert search.buckets == _buckets(domain[:-1])
+                checked += 1
+                # Prune one lift of an open variable: only its groups change.
+                open_vars = [j for j in range(nv) if domain[j].bit_count() > 1]
+                if not open_vars:
+                    break
+                j = rng.choice(open_vars)
+                domain[j] &= ~(1 << rng.choice([k for k in range(3) if domain[j] >> k & 1]))
+                pending = set(search.var_groups[j])
+    assert checked > 10 and wipeouts > 0
+
+
 # ---------------------------------------------------------------- random_tt
 
 
@@ -328,6 +393,9 @@ def test_random_tt_guards():
         random_tt(3)
     with pytest.raises(BudgetExceeded):
         random_tt(15, seed=0, budget=5)
+    for budget in (0, -5):
+        with pytest.raises(InvalidInput, match="budget"):
+            random_tt(7, seed=1, budget=budget)
 
 
 def test_random_tt_stream_is_pinned():
