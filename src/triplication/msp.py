@@ -330,10 +330,10 @@ class _Search:
                 stack.pop()
                 descend = False
                 continue
+            if self.nodes == budget:
+                return found, count, True
             frame[1] = k + 1
             self.nodes += 1
-            if budget is not None and self.nodes > budget:
-                return found, count, True
             buckets[_SIZE[dom]] ^= 1 << var
             domain[var] = single = 1 << values[k]
             # A singleton domain is already supported: nothing to revise.
@@ -482,41 +482,40 @@ def random_tt(
 
     The candidates are bitsets over ``Z_m``: ``avail`` holds the values
     still to be placed, ``half`` holds ``h`` while the sum ``2h`` is below
-    its cap (2 for sum 0, else 3), and ``used`` the first components already
-    in the row.  Row ``d`` may place ``u`` iff bit ``u`` of
-    ``avail & rot(avail, d) & rot(half, d*inv2) & ~used`` is set, where
-    ``rot`` shifts cyclically right on ``m`` bits and ``inv2 = (m + 1)/2``
-    halves mod ``m``.  The pick is the ``i``-th candidate in ascending
-    order for ``i = rng.randrange(n)`` among ``n``, the draw that
-    ``rng.choice`` makes on the candidate list, so a seed yields the same
-    table, or aborts at the same placement, as a sampler that lists the
-    candidates.
+    its cap (2 for sum 0, else 3), and ``used`` the row's first components.
+    Row ``d`` may place ``u`` iff bit ``u`` of ``avail & rot(avail, d) &
+    rot(half, d*inv2) & ~used`` is set (``rot``: a cyclic right shift on
+    ``m`` bits; ``inv2 = (m + 1)/2``).  The pick is the ``i``-th candidate
+    in ascending order, ``i`` drawn as ``rng.randrange(n)`` draws it: a seed
+    yields the same table, or abort, as ``rng.choice`` on the candidates.
     """
     if m < 5 or m % 2 == 0:
         raise InvalidInput(f"order must be odd and >= 5, got {m}")
     if budget is not None and budget < 1:
         raise InvalidInput(f"budget must be >= 1, got {budget}")
-    rng = random.Random(seed)
-    randrange = rng.randrange
+    getrandbits = random.Random(seed).getrandbits
     q = (m - 1) // 2
-    inv2 = (m + 1) // 2
     full = (1 << m) - 1
-    # avail and half are kept doubled, x | x << m, so that x >> s is rot(x, s)
-    # on the low m bits; both[u] is bit u of a doubled set.
+    # avail and half are kept doubled, x | x << m, so x >> s is rot(x, s) on
+    # the low m bits; both[u] is bit u of a doubled set.
+    bit = [1 << u for u in range(m)]
     both = [(1 << u) | (1 << (u + m)) for u in range(m)]
-    half_shift = [d * inv2 % m for d in range(q + 1)]
-    steps = 0
+    width = [n.bit_length() for n in range(m + 1)]
+    half_shift = [d * (m + 1) // 2 % m for d in range(q + 1)]
+    left = budget or -1  # placements left; -1 (no budget) never hits 0
     while True:
-        key = randrange(1, m)
+        key = m
+        while key >= m:  # randrange(1, m)
+            key = 1 + getrandbits(width[m - 1])
         counts = [2] + [3] * (m - 1)
         counts[key] -= 2
-        # half_left[h]: placements left for the sum 2h
+        # half_left[h]: placements left for sum 2h
         half_left = [2] + [3] * (m - 1)
         half_left[key] -= 1
         # key != 0 leaves its value a count of 1 and its sum a slot of 2
         avail = half = (full << m) | full
-        pairs: list[tuple[int, int]] = [(key, key)]
-        dead = False
+        pairs = [(key, key)]
+        place = pairs.append
         for d in range(1, q + 1):
             b = half_shift[d]
             free = full  # ~used
@@ -524,10 +523,12 @@ def random_tt(
                 cand = avail & free & (avail >> d) & (half >> b)
                 n = cand.bit_count()
                 if not n:
-                    dead = True
                     break
-                # strip set bits from the nearer end down to the i-th
-                i = randrange(n)
+                k = width[n]
+                i = getrandbits(k)
+                while i >= n:
+                    i = getrandbits(k)
+                # strip set bits from the nearer end to the i-th
                 if 2 * i < n:
                     for _ in range(i):
                         cand &= cand - 1
@@ -536,31 +537,28 @@ def random_tt(
                     for _ in range(n - 1 - i):
                         cand ^= 1 << (cand.bit_length() - 1)
                     u = cand.bit_length() - 1
-                v = u + d
-                if v >= m:
-                    v -= m
+                v = (u + d) % m
                 counts[u] -= 1
                 if not counts[u]:
                     avail ^= both[u]
                 counts[v] -= 1
                 if not counts[v]:
                     avail ^= both[v]
-                h = u + b  # 2h = u + v
-                if h >= m:
-                    h -= m
+                h = (u + b) % m  # 2h = u + v
                 half_left[h] -= 1
                 if not half_left[h]:
                     half ^= both[h]
-                free ^= 1 << u
-                pairs.append((u, v))
-                steps += 1
-                if budget is not None and steps > budget:
+                free ^= bit[u]
+                place((u, v))
+                if not left:
                     raise BudgetExceeded(
                         f"random table sampling for m={m} exceeded {budget} placements"
                     )
-            if dead:
-                break
-        if not dead:
+                left -= 1
+            else:
+                continue
+            break  # a dead end: restart with a fresh key
+        else:
             return validate(pairs, m)
 
 

@@ -1,9 +1,10 @@
 """Independent oracles used to cross-check the solver.
 
 Two enumerators produce the complete solution set of a table/scenario pair
-without any search: candidates are generated exhaustively and filtered by
-evaluating the defining constraints through decode-and-reencode, never
-through the solver's compiled expressions.  :func:`gac_closure` computes
+without the solver: candidates are generated exhaustively (one of them
+dropping a partial candidate once a filled row or weak set fails) and
+filtered by evaluating the defining constraints through decode-and-reencode,
+never through the solver's compiled expressions.  :func:`gac_closure` computes
 the propagation fixpoint the solver must reach, the same way.
 """
 
@@ -37,62 +38,71 @@ def _decode_maps(tt, sc):
     return maps
 
 
-def _satisfies(tt, sc, values, weak, maps):
-    """Row and weak-sum constraints, evaluated through the decoded lifts."""
-    n3 = 3 * tt.m
-    x = [maps[j][values[j]] for j in range(len(values))]
-
-    def fdiff(i):
-        return sc.f((x[2 * i] - x[2 * i + 1]) % n3)
-
-    def fsum(i):
-        return sc.f((x[2 * i] + x[2 * i + 1]) % n3)
-
-    if fdiff(0) == 0:
-        return False
-    for d in range(1, tt.q + 1):
-        seen = set()
-        for i in range(3 * d - 2, 3 * d + 1):
-            w = fdiff(i)
-            if w in seen:
-                return False
-            seen.add(w)
-    for s, idx in weak.items():
-        seen = set()
-        for i in idx:
-            w = fsum(i)
-            if w in seen or (s == 0 and w == 0):
-                return False
-            seen.add(w)
-    return True
-
-
 def solutions_by_color_classes(tt, sc):
     """All solutions, enumerated through per-color injections.
 
     Any assignment satisfying the range, consistency, and color constraints
     assigns, for each color, an injection of that color's positions into the
     color's three candidate discriminators (avoiding 0 for color 0).  The
-    oracle walks exactly those assignments and filters by the row and
-    weak-sum constraints.  Returns a set of value tables
-    ``((U_0, V_0), ..., (U_3q, V_3q))``.
+    oracle fills the colors in the order they first appear in the table,
+    row by row, with each of those injections.  Once both positions of a
+    pair are filled, its difference (and, in a weak set, its sum) is
+    evaluated through the decoded lifts and compared with the pairs of its
+    row (weak set) filled before it, so a partial assignment that breaks a
+    row or weak-sum constraint is dropped there.  Returns a set of value
+    tables ``((U_0, V_0), ..., (U_3q, V_3q))``.
     """
     colors, weak = _structures(tt)
     maps = _decode_maps(tt, sc)
-    per_color = []
-    for c, positions in sorted(colors.items()):
-        allowed = [w for w in sc.variable_domain(c) if not (c == 0 and w == 0)]
-        options = list(itertools.permutations(allowed, len(positions)))
-        per_color.append((positions, options))
-    nvars = 2 * len(tt.pairs)
+    n3 = 3 * tt.m
+    order = list(dict.fromkeys(c for pair in tt.pairs for c in pair))
+    step = {pos: t for t, c in enumerate(order) for pos in colors[c]}
+
+    def filled(i):
+        return max(step[2 * i], step[2 * i + 1])
+
+    # (op, nonzero, pairs): op's values on the pairs are pairwise distinct,
+    # and nonzero if nonzero
+    groups = [("diff", True, [0])]
+    for d in range(1, tt.q + 1):
+        groups.append(("diff", False, range(3 * d - 2, 3 * d + 1)))
+    groups += [("sum", s == 0, idx) for s, idx in weak.items()]
+    # checks[t]: (op, nonzero, pair, the pairs of its group filled before
+    # it) for each pair filled at step t
+    checks = [[] for _ in order]
+    for op, nonzero, pairs in groups:
+        pairs = sorted(pairs, key=filled)
+        for k, i in enumerate(pairs):
+            checks[filled(i)].append((op, nonzero, i, pairs[:k]))
+
+    values = [0] * 2 * len(tt.pairs)
+
+    def value(op, i):
+        a, b = maps[2 * i][values[2 * i]], maps[2 * i + 1][values[2 * i + 1]]
+        return sc.f((a - b if op == "diff" else a + b) % n3)
+
+    def consistent(t):
+        for op, nonzero, i, earlier in checks[t]:
+            w = value(op, i)
+            if (nonzero and w == 0) or any(value(op, j) == w for j in earlier):
+                return False
+        return True
+
     out = set()
-    values = [0] * nvars
-    for picks in itertools.product(*(options for _, options in per_color)):
-        for (positions, _), vals in zip(per_color, picks):
-            for pos, w in zip(positions, vals):
+
+    def fill(t):
+        if t == len(order):
+            out.add(tuple(zip(values[::2], values[1::2])))
+            return
+        c = order[t]
+        allowed = [w for w in sc.variable_domain(c) if not (c == 0 and w == 0)]
+        for vals in itertools.permutations(allowed, len(colors[c])):
+            for pos, w in zip(colors[c], vals):
                 values[pos] = w
-        if _satisfies(tt, sc, values, weak, maps):
-            out.add(tuple((values[2 * i], values[2 * i + 1]) for i in range(len(tt.pairs))))
+            if consistent(t):
+                fill(t + 1)
+
+    fill(0)
     return out
 
 
