@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 
 from .errors import BudgetExceeded, InvalidInput, ScenarioMismatch
 from .pairings import _int, _int_pairs
-from .tables import TriplicationTable, validate
+from .tables import TriplicationTable, _json_pairs, _json_rows, validate
 
 if TYPE_CHECKING:
     from .scenarios import Scenario
@@ -302,7 +302,6 @@ class _Search:
                 if bucket:
                     var = (bucket & -bucket).bit_length() - 1
                     stack.append([var, 0, len(trail), domain[var], buckets[:]])
-                    self.max_depth = max(self.max_depth, len(stack))
                 else:
                     count += 1
                     if mode != "count":
@@ -334,6 +333,8 @@ class _Search:
                 return found, count, True
             frame[1] = k + 1
             self.nodes += 1
+            if len(stack) > self.max_depth:
+                self.max_depth = len(stack)
             buckets[_SIZE[dom]] ^= 1 << var
             domain[var] = single = 1 << values[k]
             # A singleton domain is already supported: nothing to revise.
@@ -385,8 +386,11 @@ def solve(
 class CongruityReport:
     """Outcome of :func:`check_congruous`; truthy iff no violations."""
 
-    ok: bool
     violations: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def __bool__(self) -> bool:
         return self.ok
@@ -422,7 +426,7 @@ def check_congruous(tt: TriplicationTable, ct: CongruousTable, sc) -> CongruityR
                     f"(4) ({residue}, {value}) not an encoded pair at position {name}_{i}"
                 )
     if violations:
-        return CongruityReport(False, tuple(violations))
+        return CongruityReport(tuple(violations))
 
     carries = tt.carry_tables
 
@@ -464,7 +468,7 @@ def check_congruous(tt: TriplicationTable, ct: CongruousTable, sc) -> CongruityR
         if c == 0 and any(w == 0 for w in vals):
             violations.append(f"(3) color 0 contains value 0")
 
-    return CongruityReport(not violations, tuple(violations))
+    return CongruityReport(tuple(violations))
 
 
 def random_tt(
@@ -564,19 +568,14 @@ def random_tt(
 
 def solution_to_json(ct: CongruousTable) -> dict:
     """JSON-ready dict aligned with the table JSON row layout."""
-    n = len(ct.values)
-    q = (n - 1) // 3
-    rows: list[list[list[int]]] = [[list(ct.values[0])]]
-    for d in range(1, q + 1):
-        rows.append([list(ct.values[i]) for i in range(3 * d - 2, 3 * d + 1)])
-    return {"scenario": ct.kind, "r": ct.r, "rows": rows}
+    return {"scenario": ct.kind, "r": ct.r, "rows": _json_rows(ct.values)}
 
 
 def solution_from_json(data: dict) -> CongruousTable:
     try:
         kind = data["scenario"]
         r = _int(data["r"], "r")
-        values = _int_pairs(p for row in data["rows"] for p in row)
+        values = _int_pairs(_json_pairs(data["rows"]))
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed solution JSON: {exc}") from exc
     return CongruousTable(kind=kind, r=r, values=values)

@@ -220,31 +220,46 @@ def classify(p: Pairing) -> StarterClass:
     return StarterClass(StarterKind.STRONG_STARTER)
 
 
-def normalize_ordered(p: Pairing) -> Pairing:
-    """Rewrite ``p`` in the canonical ordered form: pair ``i`` carries
-    directed difference ``+i``.
+def _table_order(pairs, m: int) -> tuple[tuple[int, int], ...]:
+    """``pairs`` in table order over ``Z_m``: each pair turned to its
+    positive difference class ``+d`` mod ``m`` (a pair congruent mod ``m``
+    with its smaller element first), then sorted by ``((y - x) % m, x % m,
+    y % m)``.  The one order of ordered pairings, of strong starters of
+    order ``3m`` arranged over their table, and of canonical tables."""
 
-    Pairs are reoriented (swapped) and sorted by difference class.  Raises
-    :class:`InvalidInput` when the difference classes are not exactly
-    ``1..len(p)``, i.e. the input is not an ordered pseudostarter up to
-    reordering.
+    def turned(pair):
+        x, y = pair
+        d = (y - x) % m
+        return pair if (2 * d < m if d else x < y) else (y, x)
+
+    return tuple(
+        sorted(map(turned, pairs), key=lambda p: ((p[1] - p[0]) % m, p[0] % m, p[1] % m))
+    )
+
+
+def normalize_ordered(p: Pairing) -> Pairing:
+    """Rewrite ``p`` in the canonical ordered form, its table order
+    (:func:`_table_order`): pair ``i`` carries directed difference ``+i``.
+
+    Raises :class:`InvalidInput` for a zero difference, a repeated
+    difference class, or classes other than ``1..len(p)``, i.e. when the
+    input is not an ordered pseudostarter up to reordering.
     """
     m = p.modulus
-    by_class: dict[int, tuple[int, int]] = {}
+    classes: set[int] = set()
     for x, y in p.pairs:
         d = (y - x) % m
         if d == 0:
             raise InvalidInput("zero difference cannot be ordered")
         c = min(d, m - d)
-        if c in by_class:
+        if c in classes:
             raise InvalidInput(f"difference class {c} repeats")
-        by_class[c] = (x, y) if d == c else (y, x)
-    expected = set(range(1, len(p.pairs) + 1))
-    if set(by_class) != expected:
+        classes.add(c)
+    if classes != set(range(1, len(p.pairs) + 1)):
         raise InvalidInput(
-            f"difference classes {sorted(by_class)} do not form 1..{len(p.pairs)}"
+            f"difference classes {sorted(classes)} do not form 1..{len(p.pairs)}"
         )
-    return Pairing(m, tuple(by_class[i] for i in sorted(by_class)), ordered=True)
+    return Pairing(m, _table_order(p.pairs, m), ordered=True)
 
 
 def canonical_unordered(p: Pairing) -> tuple[tuple[int, int], ...]:

@@ -12,7 +12,6 @@ as a user error.
 from __future__ import annotations
 
 from .errors import (
-    InputNotStrongStarter,
     InternalVerificationFailure,
     InvalidInput,
     NotCongruous,
@@ -20,7 +19,7 @@ from .errors import (
 )
 from .msp import CongruousTable, check_congruous
 from .pairings import Pairing, StarterKind, _int, classify
-from .tables import TriplicationTable, _arrange, validate
+from .tables import TriplicationTable, arrange_strong_starter, induce_from_starter
 
 __all__ = [
     "recover_starter",
@@ -62,28 +61,25 @@ def recover_starter(tt: TriplicationTable, ct: CongruousTable, sc) -> Pairing:
 def round_trip(s: Pairing, sc) -> tuple[TriplicationTable, CongruousTable]:
     """Project a strong starter of order ``3m`` onto its aligned table pair.
 
-    The starter is first arranged in table order (special pair first, rows
-    grouped by difference class with sign ``+d``); the residues mod ``m``
-    form the induced table and the discriminators the congruous table.
+    The order is checked first (:class:`ScenarioMismatch`), then the
+    starter is arranged by :func:`triplication.tables.arrange_strong_starter`
+    (:class:`InputNotStrongStarter` for a pairing that is not a strong
+    starter); the residues mod ``m`` form the induced table and the
+    discriminators the congruous table.
     :func:`recover_starter` on the result returns the arranged pairing, which
     equals ``s`` as a set of unordered pairs.
     """
-    outcome = classify(s)
-    if outcome.kind != StarterKind.STRONG_STARTER:
-        raise InputNotStrongStarter(f"classify: {outcome}")
     if s.modulus != 3 * sc.m:
         raise ScenarioMismatch(
             f"starter order {s.modulus} does not match scenario order {3 * sc.m}"
         )
-    arranged = _arrange(s)
-    m = sc.m
-    tt = validate([(x % m, y % m) for x, y in arranged.pairs], m)
+    arranged = arrange_strong_starter(s)
     ct = CongruousTable(
         kind=sc.kind,
         r=sc.r,
         values=tuple((sc.f(x), sc.f(y)) for x, y in arranged.pairs),
     )
-    return tt, ct
+    return induce_from_starter(arranged), ct
 
 
 def starter_to_json(p: Pairing, ordered: bool = True, provenance: dict | None = None) -> dict:

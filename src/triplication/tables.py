@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputNotStrongStarter, InvalidInput, NotATable
-from .pairings import Pairing, StarterKind, classify, _int, _int_pairs
+from .pairings import Pairing, StarterKind, classify, _int, _int_pairs, _table_order
 
 __all__ = [
     "CarryTables",
@@ -212,75 +212,44 @@ def derive_index_structures(
 
 
 def arrange_strong_starter(s: Pairing) -> Pairing:
-    """Rewrite a strong starter of order ``3m`` in table order.
+    """Rewrite a strong starter of order ``3m`` in table order over ``Z_m``
+    (:func:`triplication.pairings._table_order`): the pair congruent mod
+    ``m`` first, then the three pairs of each difference class ``d`` with
+    reduced directed difference ``+d``, sorted by their reduced pair.
+    Reducing the result mod ``m`` yields a valid triplication table.
 
-    The pair congruent mod ``m`` goes first; the remaining pairs are grouped
-    by difference class ``d``, oriented so the reduced directed difference is
-    ``+d``, and sorted within each group by their reduced pair.  Reducing the
-    result mod ``m`` yields a valid triplication table.
+    Raises :class:`InputNotStrongStarter` for any other pairing and
+    :class:`InvalidInput` when 3 does not divide the order.
     """
     outcome = classify(s)
     if outcome.kind != StarterKind.STRONG_STARTER:
         raise InputNotStrongStarter(f"classify: {outcome}")
-    return _arrange(s)
-
-
-def _arrange(s: Pairing) -> Pairing:
-    """:func:`arrange_strong_starter` for a starter already classified
-    strong."""
     n = s.modulus
     if n % 3 != 0:
         raise InvalidInput(f"order {n} is not divisible by 3")
-    m = n // 3
-    q = (m - 1) // 2
-    special: tuple[int, int] | None = None
-    rows: dict[int, list[tuple[int, int]]] = {d: [] for d in range(1, q + 1)}
-    for x, y in s.pairs:
-        d = (y - x) % m
-        if d == 0:
-            special = (x, y) if x < y else (y, x)
-            continue
-        c = min(d, m - d)
-        rows[c].append((x, y) if d == c else (y, x))
-    if special is None:
-        raise InvalidInput("no pair is congruent mod m; not a reduction-ready starter")
-    arranged: list[tuple[int, int]] = [special]
-    for d in range(1, q + 1):
-        if len(rows[d]) != 3:
-            raise InvalidInput(
-                f"difference class {d} holds {len(rows[d])} pairs, expected 3"
-            )
-        arranged.extend(sorted(rows[d], key=lambda p: (p[0] % m, p[1] % m)))
-    return Pairing(n, tuple(arranged))
+    return Pairing(n, _table_order(s.pairs, n // 3))
 
 
 def induce_from_starter(s: Pairing) -> TriplicationTable:
     """The table induced by a strong starter of order ``3m``: arrange, then
-    reduce every component mod ``m``.  All row signs come out ``+d``."""
+    reduce every component mod ``m``.  All row signs come out ``+d``, and
+    the table is already canonical."""
     arranged = arrange_strong_starter(s)
     m = s.modulus // 3
     return validate([(x % m, y % m) for x, y in arranged.pairs], m)
 
 
 def canonicalize(tt: TriplicationTable) -> TriplicationTable:
-    """Unique representative of the equivalence class of ``tt``: every row
-    sign flipped to ``+d``, then the three pairs of each row sorted
-    lexicographically.  Idempotent."""
-    rows: list[Pair] = [tt.pairs[0]]
-    for d in range(1, tt.q + 1):
-        row = list(tt.row(d))
-        if tt.signs[d - 1] == -1:
-            row = [(v, u) for u, v in row]
-        rows.extend(sorted(row))
-    return validate(rows, tt.m)
+    """Unique representative of the equivalence class of ``tt``: its pairs
+    in table order, so every row has sign ``+d`` and its three pairs are
+    sorted lexicographically.  Idempotent."""
+    return validate(_table_order(tt.pairs, tt.m), tt.m)
 
 
 def equivalent(a: TriplicationTable, b: TriplicationTable) -> bool:
     """True when the tables differ only by within-row pair permutation and
     whole-row swaps."""
-    if a.m != b.m:
-        return False
-    return canonicalize(a).pairs == canonicalize(b).pairs
+    return a.m == b.m and _table_order(a.pairs, a.m) == _table_order(b.pairs, b.m)
 
 
 def render_table(tt: TriplicationTable) -> str:
@@ -298,18 +267,28 @@ def render_table(tt: TriplicationTable) -> str:
     return "\n".join(lines)
 
 
+def _json_rows(pairs) -> list[list[list[int]]]:
+    """``[[special], [row 1 triple], ...]``: the JSON row layout of a
+    table's pairs, or of the values aligned with them."""
+    return [[list(pairs[0])]] + [
+        [list(p) for p in pairs[i : i + 3]] for i in range(1, len(pairs) - 2, 3)
+    ]
+
+
+def _json_pairs(rows):
+    """The pairs of the JSON row layout, in table index order."""
+    return (p for row in rows for p in row)
+
+
 def table_to_json(tt: TriplicationTable) -> dict:
     """JSON-ready dict; row 0 holds the single special pair."""
-    rows: list[list[list[int]]] = [[list(tt.pairs[0])]]
-    for d in range(1, tt.q + 1):
-        rows.append([list(p) for p in tt.row(d)])
-    return {"m": tt.m, "key": tt.key, "rows": rows, "signs": list(tt.signs)}
+    return {"m": tt.m, "key": tt.key, "rows": _json_rows(tt.pairs), "signs": list(tt.signs)}
 
 
 def table_from_json(data: dict) -> TriplicationTable:
     try:
         m = _int(data["m"], "m")
-        flat = [p for row in data["rows"] for p in row]
+        flat = list(_json_pairs(data["rows"]))
         key = _int(data.get("key", -1), "key")
         signs = tuple(_int(s, "sign") for s in data.get("signs", ()))
     except (KeyError, TypeError) as exc:

@@ -160,11 +160,16 @@ def test_unsatisfiable_table_is_certified():
 
 
 def test_budget_abort_is_distinct_from_unsat():
-    inst = compile_instance(validate(golden.UNSOLVABLE_11, 11), Scenario("carry", 11))
-    for budget in (1, 10, 50):
-        out = solve(inst, mode="first", budget=budget)
-        # an aborted search has expanded exactly its budget of nodes
-        assert (out.status, out.stats.nodes) == ("aborted", budget)
+    for kind in ("mod", "carry"):
+        inst = compile_instance(validate(golden.UNSOLVABLE_11, 11), Scenario(kind, 11))
+        for budget in (1, 2, 10, 50):
+            out = solve(inst, mode="first", budget=budget)
+            # an aborted search has expanded exactly its budget of nodes, and
+            # its depth counts only the variables it assigned
+            assert (out.status, out.stats.nodes) == ("aborted", budget)
+            assert out.stats.max_depth <= budget
+            if budget <= 10:
+                assert out.stats.max_depth == budget
 
 
 def test_budget_below_one_is_invalid_input():

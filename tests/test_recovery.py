@@ -11,6 +11,7 @@ from triplication import (
     NotCongruous,
     Pairing,
     Scenario,
+    ScenarioMismatch,
     StarterKind,
     canonical_unordered,
     check_congruous,
@@ -138,6 +139,12 @@ def test_round_trip_wild_starter(kind):
 def test_round_trip_rejects_weak_input():
     with pytest.raises(InputNotStrongStarter):
         round_trip(Pairing(21, [(x, 21 - x) for x in range(1, 11)]), Scenario("mod", 7))
+
+
+@pytest.mark.parametrize("kind", ["mod", "carry"])
+def test_round_trip_rejects_a_scenario_of_another_order(kind):
+    with pytest.raises(ScenarioMismatch, match="does not match scenario order 27"):
+        round_trip(Pairing(21, golden.WILD_STARTER_21), Scenario(kind, 9))
 
 
 def test_round_trip_order27_samples():

@@ -12,9 +12,11 @@ from triplication import (
     canonicalize,
     classify,
     derive_index_structures,
+    enumerate_strong_starters,
     equivalent,
     induce_from_starter,
     one_starter_table,
+    random_tt,
     render_table,
     table_from_json,
     table_to_json,
@@ -188,6 +190,25 @@ def test_induce_rejects_non_strong_input():
         induce_from_starter(Pairing(9, [(1, 8), (2, 7), (3, 6), (4, 5)]))
 
 
+def test_arrange_and_induce_reject_an_order_not_divisible_by_3():
+    s = Pairing(7, golden.STARTER_7_B)
+    assert classify(s).kind == StarterKind.STRONG_STARTER
+    for fn in (arrange_strong_starter, induce_from_starter):
+        with pytest.raises(InvalidInput, match="not divisible by 3"):
+            fn(s)
+
+
+def test_induced_tables_are_canonical_whatever_the_pair_order():
+    rng = random.Random(3)
+    for order in (9, 15):
+        for s in enumerate_strong_starters(order):
+            tt = induce_from_starter(s)
+            assert canonicalize(tt) == tt
+            pairs = [(y, x) if rng.random() < 0.5 else (x, y) for x, y in s.pairs]
+            rng.shuffle(pairs)
+            assert induce_from_starter(Pairing(order, pairs)) == tt
+
+
 def test_arrange_is_order_preserving_modm():
     s = Pairing(21, golden.WILD_STARTER_21)
     arranged = arrange_strong_starter(s)
@@ -214,19 +235,24 @@ def test_canonicalize_idempotent():
 
 
 def test_canonicalize_collapses_row_permutations():
-    tt = validate(golden.TABLE_15_KEY4, 15)
     rng = random.Random(5)
-    pairs = [tt.pairs[0]]
-    for d in range(1, tt.q + 1):
-        row = list(tt.row(d))
-        rng.shuffle(row)
-        if rng.random() < 0.5:
-            row = [(v, u) for u, v in row]
-        pairs.extend(row)
-    shuffled = validate(pairs, 15)
-    assert shuffled.pairs != tt.pairs
-    assert canonicalize(shuffled) == canonicalize(tt)
-    assert equivalent(shuffled, tt)
+    tables = [validate(golden.TABLE_15_KEY4, 15)]
+    tables += [random_tt(m, seed) for m in (5, 9, 13, 17) for seed in range(3)]
+    for tt in tables:
+        for _ in range(3):
+            pairs = [tt.pairs[0]]
+            for d in range(1, tt.q + 1):
+                row = list(tt.row(d))
+                rng.shuffle(row)
+                if rng.random() < 0.5:
+                    row = [(v, u) for u, v in row]
+                pairs.extend(row)
+            shuffled = validate(pairs, tt.m)
+            assert canonicalize(shuffled) == canonicalize(tt)
+            assert equivalent(shuffled, tt) and equivalent(tt, shuffled)
+    for a in tables:
+        for b in tables:
+            assert equivalent(a, b) == (canonicalize(a) == canonicalize(b))
 
 
 def test_sign_flip_normalizes_to_plus():
