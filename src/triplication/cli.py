@@ -30,7 +30,7 @@ from dataclasses import fields
 
 from .errors import BudgetExceeded, InvalidInput, NotATable, TriplicationError
 from .msp import compile_instance, random_tt, solution_to_json, solve
-from .pairings import Pairing, _int, classify, pairing_from_json
+from .pairings import Pairing, _at_least_one, _int, _odd_order, classify, pairing_from_json
 from .recovery import recover_starter, starter_from_json, starter_to_json
 from .scenarios import Scenario
 from .tables import render_table, table_from_json, table_to_json
@@ -58,8 +58,7 @@ def _exit_for(error: str) -> tuple[int, str]:
 
 def parse_pair_list(text: str, m: int) -> Pairing:
     """Parse the command-line pairing literal ``"x,y;x,y;..."``."""
-    if m < 3:
-        raise InvalidInput(f"modulus must be odd and >= 3, got {m}")
+    _odd_order(m)
     pairs = []
     for chunk in text.split(";"):
         x, y = chunk.split(",")
@@ -245,22 +244,26 @@ def _read_log(log_path: str) -> list[dict]:
         *lines, partial = data.split(b"\n")
         if partial:
             fh.truncate(len(data) - len(partial))
-    records = [json.loads(line) for line in lines]
-    for number, rec in enumerate(records, 1):
+    records = []
+    for number, line in enumerate(lines, 1):
+        try:
+            rec = json.loads(line)
+        except ValueError:  # not JSON, or not UTF-8
+            rec = line
         if not _is_record(rec):
             raise InvalidInput(f"{log_path} line {number} is not a batch record: {rec!r}")
+        records.append(rec)
     return records
 
 
 def cmd_batch(args) -> int:
     orders = [int(x) for x in args.orders.split(",")] if args.orders else []
-    if args.samples < 1 and not args.fixed_tt:
-        raise InvalidInput("sample count must be >= 1")
+    if not args.fixed_tt:
+        _at_least_one("sample count", args.samples)
     # Orders and table files are checked here, before any job runs, so that
     # bad input ends the run with an error instead of failing inside a job.
     for m in orders:
-        if m < 5 or m % 2 == 0:
-            raise InvalidInput(f"order must be odd and >= 5, got {m}")
+        _odd_order(m, least=5)
     fixed = []
     for path in args.fixed_tt or []:
         with open(path) as fh:
@@ -371,8 +374,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # ``build`` and ``batch`` share the solver budget flag and its check.
-        if getattr(args, "budget", None) is not None and args.budget < 1:
-            raise InvalidInput("budget must be positive")
+        _at_least_one("budget", getattr(args, "budget", None))
         return args.func(args)
     except (TriplicationError, OSError, json.JSONDecodeError, ValueError) as exc:
         code, prefix = _exit_for(type(exc).__name__)

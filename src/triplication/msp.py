@@ -36,8 +36,8 @@ from functools import cache
 from typing import TYPE_CHECKING
 
 from .errors import BudgetExceeded, InvalidInput, ScenarioMismatch
-from .pairings import _int, _int_pairs
-from .tables import TriplicationTable, _json_pairs, _json_rows, validate
+from .pairings import _at_least_one, _int, _int_pairs, _odd_order
+from .tables import TriplicationTable, _json_pairs, _json_rows, _rows, validate
 
 if TYPE_CHECKING:
     from .scenarios import Scenario
@@ -139,14 +139,10 @@ def compile_instance(tt: TriplicationTable, sc) -> MspInstance:
     if sc.m != tt.m:
         raise ScenarioMismatch(f"scenario modulus {sc.m} != table order {tt.m}")
     carries = tt.carry_tables
-    rows = [(2 * i, 2 * i + 1, _DIFF[d]) for i, d in enumerate(carries.delta)]
+    diffs = tuple((2 * i, 2 * i + 1, _DIFF[d]) for i, d in enumerate(carries.delta))
     sums = [(2 * i, 2 * i + 1, _SUM[s]) for i, s in enumerate(carries.sigma)]
 
-    groups: list[ConstraintGroup] = [ConstraintGroup("row0", (rows[0],), True)]
-    for d in range(1, tt.q + 1):
-        groups.append(
-            ConstraintGroup(f"row{d}", tuple(rows[3 * d - 2 : 3 * d + 1]), False)
-        )
+    groups = [ConstraintGroup(f"row{d}", row, d == 0) for d, row in enumerate(_rows(diffs))]
     for s, idx in tt.weak_sets.by_sum.items():
         groups.append(
             ConstraintGroup(f"weak{s}", tuple(sums[i] for i in idx), s == 0)
@@ -365,9 +361,8 @@ def solve(
     """
     if mode not in ("first", "all", "count"):
         raise InvalidInput(f"unknown mode {mode!r}")
-    for name, value in (("limit", limit), ("budget", budget)):
-        if value is not None and value < 1:
-            raise InvalidInput(f"{name} must be >= 1, got {value}")
+    _at_least_one("limit", limit)
+    _at_least_one("budget", budget)
     search = _Search(inst, seed=seed)
     t0 = time.perf_counter()
     found, count, aborted = search.run(mode, budget, limit)
@@ -429,32 +424,23 @@ def check_congruous(tt: TriplicationTable, ct: CongruousTable, sc) -> CongruityR
         return CongruityReport(tuple(violations))
 
     carries = tt.carry_tables
-
-    def boxdiff(i: int) -> int:
-        return sc.box_sub(
-            (tt.pairs[i][0], ct.values[i][0]),
-            (tt.pairs[i][1], ct.values[i][1]),
-            carries.delta[i],
-        )
-
-    def boxsum(i: int) -> int:
-        return sc.box_add(
-            (tt.pairs[i][0], ct.values[i][0]),
-            (tt.pairs[i][1], ct.values[i][1]),
-            carries.sigma[i],
-        )
+    # Pair i as its two encoded elements, left[i] = (u_i, U_i), right[i] = (v_i, V_i).
+    left = [(u, bu) for (u, _), (bu, _) in zip(tt.pairs, ct.values)]
+    right = [(v, bv) for (_, v), (_, bv) in zip(tt.pairs, ct.values)]
+    boxdiffs = list(map(sc.box_sub, left, right, carries.delta))
+    boxsums = list(map(sc.box_add, left, right, carries.sigma))
 
     # ((1)) rows
-    if boxdiff(0) == 0:
+    (special,), *rows = _rows(boxdiffs)
+    if special == 0:
         violations.append("(1) special-pair difference is 0")
-    for d in range(1, tt.q + 1):
-        vals = [boxdiff(i) for i in range(3 * d - 2, 3 * d + 1)]
+    for d, vals in enumerate(rows, 1):
         if len(set(vals)) != 3:
             violations.append(f"(1) row {d} differences {vals} not distinct")
 
     # ((2)) weak sets
     for s, idx in tt.weak_sets.by_sum.items():
-        vals = [boxsum(i) for i in idx]
+        vals = [boxsums[i] for i in idx]
         if len(set(vals)) != len(vals):
             violations.append(f"(2) weak set {s} sums {vals} not distinct")
         if s == 0 and any(w == 0 for w in vals):
@@ -493,10 +479,8 @@ def random_tt(
     in ascending order, ``i`` drawn as ``rng.randrange(n)`` draws it: a seed
     yields the same table, or abort, as ``rng.choice`` on the candidates.
     """
-    if m < 5 or m % 2 == 0:
-        raise InvalidInput(f"order must be odd and >= 5, got {m}")
-    if budget is not None and budget < 1:
-        raise InvalidInput(f"budget must be >= 1, got {budget}")
+    _odd_order(m, least=5)
+    _at_least_one("budget", budget)
     getrandbits = random.Random(seed).getrandbits
     q = (m - 1) // 2
     full = (1 << m) - 1

@@ -62,6 +62,18 @@ def modinv(a: int, n: int) -> int:
     return s % n
 
 
+def _odd_order(m: int, least: int = 3) -> None:
+    """Raise :class:`InvalidInput` unless ``m`` is odd and ``>= least``."""
+    if m < least or m % 2 == 0:
+        raise InvalidInput(f"order must be odd and >= {least}, got {m}")
+
+
+def _at_least_one(name: str, value) -> None:
+    """Raise :class:`InvalidInput` for a count below 1; ``None`` passes."""
+    if value is not None and value < 1:
+        raise InvalidInput(f"{name} must be >= 1, got {value}")
+
+
 def _int(value, field: str) -> int:
     """``value`` as an int; a float is accepted only with an integral value.
 
@@ -119,8 +131,7 @@ class Pairing:
 
     def __post_init__(self):
         m = self.modulus
-        if m < 3 or m % 2 == 0:
-            raise InvalidInput(f"modulus must be odd and >= 3, got {m}")
+        _odd_order(m)
         object.__setattr__(self, "pairs", _int_pairs(self.pairs))
         for x, y in self.pairs:
             if not (0 <= x < m and 0 <= y < m):
@@ -278,12 +289,10 @@ def enumerate_strong_starters(
     unless ``allow_large`` is set.  Each unordered strong starter is emitted
     exactly once, in canonical ordered form (directed differences ``+i``).
     """
-    if m < 3 or m % 2 == 0:
-        raise InvalidInput(f"order must be odd and >= 3, got {m}")
+    _odd_order(m)
     if m > 15 and not allow_large:
         raise OrderTooLarge(f"m={m} enumeration needs allow_large=True")
-    if limit is not None and limit < 1:
-        raise InvalidInput(f"limit must be >= 1, got {limit}")
+    _at_least_one("limit", limit)
     q = (m - 1) // 2
     out: list[Pairing] = []
     used = [False] * m

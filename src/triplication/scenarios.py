@@ -22,6 +22,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import IncompatibleResidues, InvalidInput
+from .pairings import _odd_order
 
 __all__ = ["EncodedElement", "Scenario"]
 
@@ -42,8 +43,7 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in ("mod", "carry"):
             raise InvalidInput(f"unknown scenario kind {self.kind!r}")
-        if self.m < 3 or self.m % 2 == 0:
-            raise InvalidInput(f"order must be odd and >= 3, got {self.m}")
+        _odd_order(self.m)
 
     @cached_property
     def nu(self) -> int:

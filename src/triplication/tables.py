@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputNotStrongStarter, InvalidInput, NotATable
-from .pairings import Pairing, StarterKind, classify, _int, _int_pairs, _table_order
+from .pairings import Pairing, StarterKind, classify
+from .pairings import _int, _int_pairs, _odd_order, _table_order
 
 __all__ = [
     "CarryTables",
@@ -131,6 +132,14 @@ class TriplicationTable:
         return CarryTables(delta=delta, sigma=sigma)
 
 
+def _rows(seq) -> list:
+    """Split ``seq``, aligned with a table's pairs, into ``[seq[:1], row 1,
+    ..., row q]``; :class:`InvalidInput` unless ``len(seq)`` is ``3q + 1``."""
+    if len(seq) % 3 != 1:
+        raise InvalidInput(f"{len(seq)} pairs do not fill a special pair and rows of 3")
+    return [seq[:1]] + [seq[i : i + 3] for i in range(1, len(seq), 3)]
+
+
 def _check_sums(pairs: tuple[Pair, ...], m: int) -> None:
     """Check clause (iii): at most 3 pairs share a nonzero sum, 2 sum 0."""
     for s, k in Counter((u + v) % m for u, v in pairs).items():
@@ -141,8 +150,6 @@ def _check_sums(pairs: tuple[Pair, ...], m: int) -> None:
 
 def _check_clauses(pairs: tuple[Pair, ...], m: int) -> tuple[int, ...]:
     """Check clauses (i)-(iv) in order; return the per-row signs."""
-    q = (m - 1) // 2
-
     counts = Counter()
     for u, v in pairs:
         counts[u] += 1
@@ -160,8 +167,8 @@ def _check_clauses(pairs: tuple[Pair, ...], m: int) -> tuple[int, ...]:
     if u0 == 0:
         raise NotATable("ii", "key must be nonzero")
     signs = []
-    for d in range(1, q + 1):
-        diffs = [(v - u) % m for u, v in pairs[3 * d - 2 : 3 * d + 1]]
+    for d, row in enumerate(_rows(pairs)[1:], 1):
+        diffs = [(v - u) % m for u, v in row]
         if len(set(diffs)) != 1 or diffs[0] not in (d % m, (-d) % m):
             raise NotATable(
                 "ii", f"row {d} has directed differences {diffs}, expected all +{d} or all -{d}"
@@ -186,13 +193,10 @@ def validate(pairs, m: int) -> TriplicationTable:
     naming the first failed clause.  Either row sign is accepted.
     """
     pairs = _int_pairs(pairs)
-    if m < 3 or m % 2 == 0:
-        raise InvalidInput(f"order must be odd and >= 3, got {m}")
-    q = (m - 1) // 2
-    if len(pairs) != 3 * q + 1:
-        raise InvalidInput(
-            f"expected {3 * q + 1} pairs for order {m}, got {len(pairs)}"
-        )
+    _odd_order(m)
+    n = (3 * m - 1) // 2  # 3q + 1
+    if len(pairs) != n:
+        raise InvalidInput(f"expected {n} pairs for order {m}, got {len(pairs)}")
     for u, v in pairs:
         if not (0 <= u < m and 0 <= v < m):
             raise InvalidInput(f"component out of range for Z_{m}: ({u}, {v})")
@@ -270,14 +274,16 @@ def render_table(tt: TriplicationTable) -> str:
 def _json_rows(pairs) -> list[list[list[int]]]:
     """``[[special], [row 1 triple], ...]``: the JSON row layout of a
     table's pairs, or of the values aligned with them."""
-    return [[list(pairs[0])]] + [
-        [list(p) for p in pairs[i : i + 3]] for i in range(1, len(pairs) - 2, 3)
-    ]
+    return [[list(p) for p in row] for row in _rows(pairs)]
 
 
-def _json_pairs(rows):
-    """The pairs of the JSON row layout, in table index order."""
-    return (p for row in rows for p in row)
+def _json_pairs(rows) -> list:
+    """The pairs of the JSON row layout, in table index order;
+    :class:`InvalidInput` for any other layout."""
+    flat = [p for row in rows for p in row]
+    if [len(row) for row in rows] != [len(row) for row in _rows(flat)]:
+        raise InvalidInput("rows must be the special pair, then rows of three pairs")
+    return flat
 
 
 def table_to_json(tt: TriplicationTable) -> dict:
@@ -288,7 +294,7 @@ def table_to_json(tt: TriplicationTable) -> dict:
 def table_from_json(data: dict) -> TriplicationTable:
     try:
         m = _int(data["m"], "m")
-        flat = list(_json_pairs(data["rows"]))
+        flat = _json_pairs(data["rows"])
         key = _int(data.get("key", -1), "key")
         signs = tuple(_int(s, "sign") for s in data.get("signs", ()))
     except (KeyError, TypeError) as exc:

@@ -38,6 +38,7 @@ from .pairings import (
     Pairing,
     StarterKind,
     _int,
+    _odd_order,
     classify,
     conjugate,
     modinv,
@@ -209,8 +210,7 @@ def epicycloidal(m: int, mu: int) -> Pairing:
     Defined for ``mu`` in ``2..m-2`` with ``gcd(mu - 1, m) = 1``; the
     directed differences are ``+i`` by construction.
     """
-    if m < 3 or m % 2 == 0:
-        raise InvalidInput(f"order must be odd and >= 3, got {m}")
+    _odd_order(m)
     if not 2 <= mu <= m - 2:
         raise InvalidInput(f"multiplier must lie in 2..{m - 2}, got {mu}")
     if math.gcd(mu - 1, m) != 1:
@@ -230,8 +230,7 @@ def patterned_starter(m: int) -> Pairing:
     Reordered to the canonical directed-difference form, pair ``i`` having
     difference ``+i``.
     """
-    if m < 3 or m % 2 == 0:
-        raise InvalidInput(f"order must be odd and >= 3, got {m}")
+    _odd_order(m)
     return normalize_ordered(Pairing(m, ((x, m - x) for x in range(1, (m + 1) // 2))))
 
 

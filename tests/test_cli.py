@@ -202,6 +202,10 @@ def test_verify_table_file(tmp_path, capsys):
     path = write_json(tmp_path / "tt.json", table_to_json(tt))
     assert run(["verify", path]) == 0
     assert "valid triplication table of order 13" in capsys.readouterr().out
+    doc = table_to_json(tt)
+    doc["rows"] = [[p for row in doc["rows"] for p in row]]  # all pairs in one row
+    assert run(["verify", write_json(tmp_path / "flat.json", doc)]) == 4
+    assert capsys.readouterr().err.startswith("error: rows must be")
 
 
 def test_verify_strong_starter_samples(tmp_path):
@@ -499,7 +503,9 @@ def test_batch_resume_rejects_malformed_inner_line(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line", ["{}", "5", '{"m": 7, "index": 0}', '{"m": true, "index": 1, "outcome": "unsat"}']
+    "line",
+    ["{}", "5", '{"m": 7, "index": 0}', '{"m": true, "index": 1, "outcome": "unsat"}',
+     "garbage", ""],
 )
 def test_batch_resume_rejects_non_record_line(tmp_path, capsys, line):
     args = ["batch", "--orders", "7", "--samples", 3, "--outdir", tmp_path]

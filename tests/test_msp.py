@@ -477,3 +477,10 @@ def test_solution_json_round_trip():
     assert doc["scenario"] == "carry" and doc["r"] == 3
     assert doc["rows"][0] == [[0, 1]]
     assert solution_from_json(doc) == ct
+    flat = [p for row in doc["rows"] for p in row]
+    for rows in ([flat], [[p] for p in flat]):
+        with pytest.raises(InvalidInput, match="rows must be"):
+            solution_from_json({**doc, "rows": rows})
+    # A length other than 3q + 1 has no row layout to write.
+    with pytest.raises(InvalidInput, match="5 pairs"):
+        solution_to_json(CongruousTable("carry", 3, ct.values[:5]))

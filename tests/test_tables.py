@@ -294,6 +294,11 @@ def test_table_json_round_trip():
     assert doc["m"] == 15 and doc["key"] == 4
     assert doc["rows"][0] == [[4, 4]]
     assert table_from_json(doc) == tt
+    # The same pairs in any other row layout are not a table file.
+    flat = [p for row in doc["rows"] for p in row]
+    for rows in ([flat], [[p] for p in flat]):
+        with pytest.raises(InvalidInput, match="rows must be"):
+            table_from_json({**doc, "rows": rows})
 
 
 def test_table_json_rejects_inconsistent_metadata():
