@@ -32,7 +32,7 @@ from .errors import BudgetExceeded, InvalidInput, NotATable, TriplicationError
 from .msp import compile_instance, random_tt, solution_to_json, solve
 from .pairings import Pairing, _at_least_one, _int, _odd_order, classify, pairing_from_json
 from .recovery import recover_starter, starter_from_json, starter_to_json
-from .scenarios import Scenario
+from .scenarios import _KINDS, Scenario
 from .tables import render_table, table_from_json, table_to_json
 from .templates import admissible_keys, build_template, template_base_from_spec, template_table
 
@@ -122,7 +122,6 @@ def cmd_build(args) -> int:
     starter = recover_starter(tt, ct, sc)
     doc = starter_to_json(
         starter,
-        ordered=True,
         provenance={
             "tt": table_to_json(tt),
             "scenario": solution_to_json(ct),
@@ -335,7 +334,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_template_flags(p)
     p.add_argument("--key", type=int, help="template key t")
     p.add_argument("--tt", help="skip templating: solve this table JSON file")
-    p.add_argument("--scenario", choices=["mod", "carry"], default="carry")
+    p.add_argument("--scenario", choices=_KINDS, default="carry")
     p.add_argument("--budget", type=int, help="solver node budget")
     p.add_argument("--seed", type=int, help="value-order seed")
     p.add_argument("--output", "-o", help="starter JSON output path")
@@ -354,7 +353,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("batch", help="sample random tables and solve each")
     p.add_argument("--orders", help="comma-separated base orders, e.g. 7,9,11")
     p.add_argument("--samples", type=int, default=100, help="tables per order")
-    p.add_argument("--scenario", choices=["mod", "carry"], default="carry")
+    p.add_argument("--scenario", choices=_KINDS, default="carry")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=1_000_000)
     p.add_argument("--workers", type=int, default=1)

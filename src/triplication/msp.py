@@ -33,14 +33,11 @@ import random
 import time
 from dataclasses import dataclass
 from functools import cache
-from typing import TYPE_CHECKING
 
 from .errors import BudgetExceeded, InvalidInput, ScenarioMismatch
 from .pairings import _at_least_one, _int, _int_pairs, _odd_order
+from .scenarios import _KINDS, Scenario
 from .tables import TriplicationTable, _json_pairs, _json_rows, _rows, validate
-
-if TYPE_CHECKING:
-    from .scenarios import Scenario
 
 __all__ = [
     "CongruityReport",
@@ -562,4 +559,12 @@ def solution_from_json(data: dict) -> CongruousTable:
         values = _int_pairs(_json_pairs(data["rows"]))
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed solution JSON: {exc}") from exc
+    if kind not in _KINDS:
+        raise InvalidInput(f"unknown scenario kind {kind!r}")
+    # A carry scenario has r = 3, a mod scenario a power of 3 from 3 up.
+    power = 3
+    while kind == "mod" and power < r:
+        power *= 3
+    if r != power:
+        raise InvalidInput(f"no {kind} scenario has r = {r}")
     return CongruousTable(kind=kind, r=r, values=values)

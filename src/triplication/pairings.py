@@ -120,14 +120,14 @@ class StarterClass:
 class Pairing:
     """Ordered tuple of ordered pairs over a shared odd modulus.
 
-    When ``ordered`` is set, pair ``i`` (1-based) must have directed
-    difference ``y_i - x_i = +-i (mod m)``; this is the row discipline shared
-    by ordered starters, ordered pseudostarters, and table columns.
+    A pairing is *ordered* when pair ``i`` (1-based) has directed difference
+    ``y_i - x_i = +-i (mod m)``, the row discipline shared by ordered
+    starters, ordered pseudostarters and table columns;
+    :func:`normalize_ordered` rewrites a pairing into ordered form.
     """
 
     modulus: int
     pairs: tuple[tuple[int, int], ...]
-    ordered: bool = False
 
     def __post_init__(self):
         m = self.modulus
@@ -136,13 +136,6 @@ class Pairing:
         for x, y in self.pairs:
             if not (0 <= x < m and 0 <= y < m):
                 raise InvalidInput(f"component out of range for Z_{m}: ({x}, {y})")
-        if self.ordered:
-            for i, (x, y) in enumerate(self.pairs, start=1):
-                d = (y - x) % m
-                if d != i % m and d != (-i) % m:
-                    raise InvalidInput(
-                        f"pair {i} has directed difference {d}, expected +-{i} (mod {m})"
-                    )
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -171,11 +164,27 @@ def sums(p: Pairing) -> tuple[int, ...]:
 def conjugate(p: Pairing) -> Pairing:
     """Componentwise negation with a swap: ``(x, y) -> (-y, -x) (mod m)``.
 
-    An involution.  The directed difference of each pair is preserved, so the
-    ordered discipline (and each row's sign) survives conjugation.
+    An involution.  The directed difference of each pair is preserved, so an
+    ordered pairing (and each row's sign) stays ordered under conjugation.
     """
     m = p.modulus
-    return Pairing(m, tuple(((-y) % m, (-x) % m) for x, y in p.pairs), p.ordered)
+    return Pairing(m, tuple(((-y) % m, (-x) % m) for x, y in p.pairs))
+
+
+def _difference_classes(pairs, m: int) -> set[int]:
+    """The difference classes ``min(d, m - d)`` of ``pairs``, where ``d = (y
+    - x) % m``; :class:`InvalidInput` names the first zero difference or
+    repeated class."""
+    classes: set[int] = set()
+    for i, (x, y) in enumerate(pairs, start=1):
+        d = (y - x) % m
+        if d == 0:
+            raise InvalidInput(f"zero difference at pair {i}")
+        c = min(d, m - d)
+        if c in classes:
+            raise InvalidInput(f"difference class {c} repeats at pair {i}")
+        classes.add(c)
+    return classes
 
 
 def classify(p: Pairing) -> StarterClass:
@@ -195,17 +204,10 @@ def classify(p: Pairing) -> StarterClass:
             StarterKind.NOT_ANY,
             f"{len(p.pairs)} pairs cannot cover the {m - 1} nonzero differences of Z_{m}",
         )
-    seen_class = set()
-    for i, (x, y) in enumerate(p.pairs, start=1):
-        d = (y - x) % m
-        if d == 0:
-            return StarterClass(StarterKind.NOT_ANY, f"pair {i} has zero difference")
-        c = min(d, m - d)
-        if c in seen_class:
-            return StarterClass(
-                StarterKind.NOT_ANY, f"difference +-{c} repeats at pair {i}"
-            )
-        seen_class.add(c)
+    try:
+        _difference_classes(p.pairs, m)
+    except InvalidInput as exc:
+        return StarterClass(StarterKind.NOT_ANY, str(exc))
 
     # Partition of Z_m^*: all 2q components distinct and nonzero.
     comps = p.components()
@@ -257,20 +259,12 @@ def normalize_ordered(p: Pairing) -> Pairing:
     input is not an ordered pseudostarter up to reordering.
     """
     m = p.modulus
-    classes: set[int] = set()
-    for x, y in p.pairs:
-        d = (y - x) % m
-        if d == 0:
-            raise InvalidInput("zero difference cannot be ordered")
-        c = min(d, m - d)
-        if c in classes:
-            raise InvalidInput(f"difference class {c} repeats")
-        classes.add(c)
+    classes = _difference_classes(p.pairs, m)
     if classes != set(range(1, len(p.pairs) + 1)):
         raise InvalidInput(
             f"difference classes {sorted(classes)} do not form 1..{len(p.pairs)}"
         )
-    return Pairing(m, _table_order(p.pairs, m), ordered=True)
+    return Pairing(m, _table_order(p.pairs, m))
 
 
 def canonical_unordered(p: Pairing) -> tuple[tuple[int, int], ...]:

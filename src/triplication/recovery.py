@@ -19,7 +19,7 @@ from .errors import (
 )
 from .msp import CongruousTable, check_congruous
 from .pairings import Pairing, StarterKind, _int, classify
-from .tables import TriplicationTable, arrange_strong_starter, induce_from_starter
+from .tables import TriplicationTable, arrange_strong_starter, validate
 
 __all__ = [
     "recover_starter",
@@ -64,7 +64,8 @@ def round_trip(s: Pairing, sc) -> tuple[TriplicationTable, CongruousTable]:
     The order is checked first (:class:`ScenarioMismatch`), then the
     starter is arranged by :func:`triplication.tables.arrange_strong_starter`
     (:class:`InputNotStrongStarter` for a pairing that is not a strong
-    starter); the residues mod ``m`` form the induced table and the
+    starter) and encoded once by ``sc``: the residues mod ``m`` form the
+    induced table (:func:`triplication.tables.induce_from_starter`) and the
     discriminators the congruous table.
     :func:`recover_starter` on the result returns the arranged pairing, which
     equals ``s`` as a set of unordered pairs.
@@ -73,22 +74,16 @@ def round_trip(s: Pairing, sc) -> tuple[TriplicationTable, CongruousTable]:
         raise ScenarioMismatch(
             f"starter order {s.modulus} does not match scenario order {3 * sc.m}"
         )
-    arranged = arrange_strong_starter(s)
-    ct = CongruousTable(
-        kind=sc.kind,
-        r=sc.r,
-        values=tuple((sc.f(x), sc.f(y)) for x, y in arranged.pairs),
-    )
-    return induce_from_starter(arranged), ct
+    encoded = [(sc.encode(x), sc.encode(y)) for x, y in arrange_strong_starter(s).pairs]
+    tt = validate([(a.u, b.u) for a, b in encoded], sc.m)
+    return tt, CongruousTable(sc.kind, sc.r, tuple((a.U, b.U) for a, b in encoded))
 
 
-def starter_to_json(p: Pairing, ordered: bool = True, provenance: dict | None = None) -> dict:
-    """Starter file format: order ``3m``, pairs, ordering flag, provenance."""
-    doc = {
-        "order": p.modulus,
-        "pairs": [[x, y] for x, y in p.pairs],
-        "ordered": bool(ordered),
-    }
+def starter_to_json(p: Pairing, provenance: dict | None = None) -> dict:
+    """Starter file format: order ``3m``, pairs and, if given, provenance.
+    :func:`starter_from_json` ignores any other key, such as the
+    ``"ordered"`` flag that older files carry."""
+    doc = {"order": p.modulus, "pairs": [[x, y] for x, y in p.pairs]}
     if provenance is not None:
         doc["provenance"] = provenance
     return doc

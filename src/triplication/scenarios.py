@@ -26,6 +26,9 @@ from .pairings import _odd_order
 
 __all__ = ["EncodedElement", "Scenario"]
 
+#: The scenario kinds, in the order the command line lists them.
+_KINDS = ("mod", "carry")
+
 
 class EncodedElement(NamedTuple):
     u: int
@@ -41,7 +44,7 @@ class Scenario:
     m: int
 
     def __post_init__(self):
-        if self.kind not in ("mod", "carry"):
+        if self.kind not in _KINDS:
             raise InvalidInput(f"unknown scenario kind {self.kind!r}")
         _odd_order(self.m)
 

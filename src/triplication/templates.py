@@ -207,8 +207,8 @@ def three_starter_table(
 def epicycloidal(m: int, mu: int) -> Pairing:
     """The pseudostarter ``[(x_i, mu * x_i)]`` with ``(mu - 1) x_i = i``.
 
-    Defined for ``mu`` in ``2..m-2`` with ``gcd(mu - 1, m) = 1``; the
-    directed differences are ``+i`` by construction.
+    Defined for ``mu`` in ``2..m-2`` with ``gcd(mu - 1, m) = 1``.  It is
+    ordered by construction: pair ``i`` has directed difference ``+i``.
     """
     _odd_order(m)
     if not 2 <= mu <= m - 2:
@@ -221,7 +221,7 @@ def epicycloidal(m: int, mu: int) -> Pairing:
     for i in range(1, q + 1):
         x = (inv * i) % m
         pairs.append((x, (mu * x) % m))
-    return Pairing(m, tuple(pairs), ordered=True)
+    return Pairing(m, tuple(pairs))
 
 
 def patterned_starter(m: int) -> Pairing:

@@ -38,12 +38,14 @@ def test_build_one_starter_carry(tmp_path, capsys):
     )
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["order"] == 21 and doc["ordered"] is True
+    assert doc["order"] == 21 and "ordered" not in doc
     assert doc["provenance"]["tt"]["key"] == 1
     printed = capsys.readouterr().out
     assert "(1, 1)" in printed and "strong starter of order 21" in printed
-    # closed loop: the written file re-verifies
+    # closed loop: the written file re-verifies, also with the "ordered" flag
+    # that older starter files carry
     assert run(["verify", out]) == 0
+    assert run(["verify", write_json(tmp_path / "old.json", {**doc, "ordered": True})]) == 0
 
 
 def test_bare_flag_invocation_implies_build(tmp_path):

@@ -481,6 +481,14 @@ def test_solution_json_round_trip():
     for rows in ([flat], [[p] for p in flat]):
         with pytest.raises(InvalidInput, match="rows must be"):
             solution_from_json({**doc, "rows": rows})
+    # Only a kind and an r that some scenario has are read.
+    for kind, r, match in (("bogus", -3, "unknown scenario kind 'bogus'"),
+                           ("carry", 27, "no carry scenario has r = 27"),
+                           ("mod", 1, "no mod scenario has r = 1"),
+                           ("mod", 15, "no mod scenario has r = 15")):
+        with pytest.raises(InvalidInput, match=match):
+            solution_from_json({**doc, "scenario": kind, "r": r})
+    assert solution_from_json({**doc, "scenario": "mod", "r": 27}).r == 27
     # A length other than 3q + 1 has no row layout to write.
     with pytest.raises(InvalidInput, match="5 pairs"):
         solution_to_json(CongruousTable("carry", 3, ct.values[:5]))

@@ -6,11 +6,13 @@ from triplication import (
     InvalidInput,
     OrderTooLarge,
     Pairing,
+    StarterClass,
     StarterKind,
     canonical_unordered,
     classify,
     conjugate,
     enumerate_strong_starters,
+    epicycloidal,
     normalize_ordered,
     pairing_from_json,
     pairing_to_json,
@@ -34,13 +36,6 @@ def test_pairing_rejects_even_or_tiny_modulus():
 def test_pairing_rejects_out_of_range_components():
     with pytest.raises(InvalidInput):
         Pairing(7, [(2, 7)])
-
-
-def test_ordered_flag_enforces_difference_discipline():
-    Pairing(7, [(2, 3), (4, 6), (5, 1)], ordered=True)
-    Pairing(7, [(2, 3), (4, 6), (1, 5)], ordered=True)  # sign -3 is fine
-    with pytest.raises(InvalidInput):
-        Pairing(7, [(2, 4), (4, 6), (5, 1)], ordered=True)
 
 
 def test_egcd_and_modinv():
@@ -166,7 +161,7 @@ def test_enumerate_order_7():
     assert any(p.pairs == ((2, 3), (4, 6), (5, 1)) for p in ss)
     for p in ss:
         assert classify(p).kind == StarterKind.STRONG_STARTER
-        assert p.ordered
+        assert [(y - x) % 7 for x, y in p.pairs] == [1, 2, 3]
 
 
 def test_enumerate_no_duplicates_and_counts():
@@ -202,6 +197,16 @@ def test_normalize_ordered_rejects_bad_classes():
         normalize_ordered(Pairing(7, [(1, 2), (2, 3), (3, 4)]))
 
 
+def test_classify_and_normalize_name_the_same_difference_witness():
+    # one scan names the first zero difference or repeated class for both
+    for pairs, witness in (([(1, 2), (3, 3), (4, 6)], "zero difference at pair 2"),
+                           ([(1, 2), (4, 6), (6, 5)], "difference class 1 repeats at pair 3")):
+        p = Pairing(7, pairs)
+        assert classify(p) == StarterClass(StarterKind.NOT_ANY, witness)
+        with pytest.raises(InvalidInput, match=witness):
+            normalize_ordered(p)
+
+
 def test_canonical_unordered_is_orientation_invariant():
     a = Pairing(7, [(2, 3), (4, 6), (5, 1)])
     b = Pairing(7, [(3, 2), (5, 1), (4, 6)])
@@ -212,7 +217,10 @@ def test_canonical_unordered_is_orientation_invariant():
 
 
 def test_pairing_json_round_trip():
-    p = Pairing(15, golden.STARTER_15)
-    assert pairing_from_json(pairing_to_json(p)) == p
+    # a pairing is its modulus and pairs: how it was made is not part of it
+    for p in (Pairing(15, golden.STARTER_15), *enumerate_strong_starters(7),
+              epicycloidal(7, 2)):
+        assert pairing_from_json(pairing_to_json(p)) == p
+        assert len({p, Pairing(p.modulus, p.pairs)}) == 1
     with pytest.raises(InvalidInput):
         pairing_from_json({"pairs": [[1, 2]]})

@@ -16,6 +16,7 @@ from triplication import (
     canonical_unordered,
     check_congruous,
     classify,
+    induce_from_starter,
     random_tt,
     recover_starter,
     round_trip,
@@ -24,6 +25,7 @@ from triplication import (
     starter_to_json,
     validate,
 )
+from triplication import tables
 from triplication.msp import compile_instance
 
 import golden
@@ -127,10 +129,14 @@ def test_recover_rejects_non_congruous_input():
 
 
 @pytest.mark.parametrize("kind", ["mod", "carry"])
-def test_round_trip_wild_starter(kind):
+def test_round_trip_wild_starter(kind, monkeypatch):
     s = Pairing(21, golden.WILD_STARTER_21)
     sc = Scenario(kind, 7)
+    calls = []
+    monkeypatch.setattr(tables, "classify", lambda p: calls.append(p) or classify(p))
     tt, ct = round_trip(s, sc)
+    assert calls == [s]  # the starter is classified and arranged once
+    assert tt == induce_from_starter(s)
     assert check_congruous(tt, ct, sc)
     back = recover_starter(tt, ct, sc)
     assert canonical_unordered(back) == canonical_unordered(s)
@@ -218,6 +224,6 @@ def test_recovered_starters_classify_strong_small_sample():
 
 def test_starter_json_round_trip():
     s = Pairing(21, golden.WILD_STARTER_21)
-    doc = starter_to_json(s, ordered=True, provenance={"note": "test"})
+    doc = starter_to_json(s, provenance={"note": "test"})
     assert doc["order"] == 21 and doc["provenance"]["note"] == "test"
     assert starter_from_json(doc) == s
