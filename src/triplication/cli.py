@@ -259,6 +259,7 @@ def cmd_batch(args) -> int:
     orders = [int(x) for x in args.orders.split(",")] if args.orders else []
     if not args.fixed_tt:
         _at_least_one("sample count", args.samples)
+    _at_least_one("worker count", args.workers)
     # Orders and table files are checked here, before any job runs, so that
     # bad input ends the run with an error instead of failing inside a job.
     for m in orders:

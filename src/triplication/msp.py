@@ -21,7 +21,8 @@ scenario's discriminators ``f(c_j + k_j*m)``.
 group generalized-arc-consistent (GAC).  ``unsat`` is reported only after
 the search space is exhausted; running out of budget is a distinct
 ``aborted`` outcome.  The search runs on an explicit stack rather than by
-recursion, and it picks the next variable without a scan.
+recursion; it keeps the domains as one byte per table pair, picks the next
+variable by a byte scan of them, and backtracks by restoring a copy.
 
 Variable numbering: position ``<i, l>`` of the table (pair ``i``, component
 ``l``) is variable ``2*i + l``, so ``U_i`` is even and ``V_i`` odd.
@@ -60,7 +61,13 @@ _LIFT = (0, 1, 2)
 _DIFF = tuple(tuple((a - b - c) % 3 for a in _LIFT for b in _LIFT) for c in (0, 1))
 _SUM = tuple(tuple((a + b + c) % 3 for a in _LIFT for b in _LIFT) for c in (0, 1))
 _COLOUR = tuple(a for a in _LIFT for _ in _LIFT)
-_SIZE = (0, 1, 1, 2, 1, 2, 2, 3)  # the number of lifts in a 3-bit domain
+#: The rank of a nibble: the number of lifts of an unassigned variable, 0
+#: for an assigned one; and per pair byte, the least nonzero rank of its two.
+_RANK = bytes(n.bit_count() if n < 8 else 0 for n in range(16))
+_LEAST = bytes(min(_RANK[b >> 4] or 4, _RANK[b & 15] or 4) & 3 for b in range(256))
+#: The sides whose nibbles differ in ``old ^ new``: 0 ``U``, 1 ``V``, 2 both.
+_SIDES = [(x > 15) + 2 * (x & 15 > 0) - 1 for x in range(256)]
+_PAD = (0,) * 256  # the image of a padding term
 
 
 @dataclass(frozen=True)
@@ -156,20 +163,23 @@ def compile_instance(tt: TriplicationTable, sc) -> MspInstance:
 
 @cache
 def _term_lookups(tab: tuple[int, ...], shift: int) -> tuple[list[int], list[int]]:
-    """``(image, push)`` of a pair term with table ``tab`` over 3-bit lift
-    domains ``da`` and ``db``, with ``d = da << 3 | db``: ``image[d]`` is the
-    set of its values shifted left by ``shift``, and ``push[d << 3 | s]`` is
-    ``na << 3 | nb``, the lifts on each side that reach a value in ``s``."""
-    image, push = [0] * 64, [0] * 512
-    for d in range(64):
+    """``(image, push)`` of a term with table ``tab`` over a pair byte ``d``,
+    which holds the lifts of ``k_a`` in bits 4-6 and those of ``k_b`` in
+    bits 0-2: ``image[d]`` is the set of its values shifted left by
+    ``shift``, and ``push[d << 3 | s]`` is ``d`` less the lifts that reach
+    no value in ``s``."""
+    image, push = [], []
+    for d in range(256):
+        reach = [0, 0, 0]  # per value, the lifts that reach it
         for ka in _LIFT:
             for kb in _LIFT:
-                if d >> 3 >> ka & d >> kb & 1:
-                    w = 1 << tab[3 * ka + kb]
-                    image[d] |= w << shift
-                    for s in range(8):
-                        if w & s:
-                            push[d << 3 | s] |= 1 << ka << 3 | 1 << kb
+                if d >> 4 >> ka & d >> kb & 1:
+                    reach[tab[3 * ka + kb]] |= 16 << ka | 1 << kb
+        image.append(sum(1 << v for v in _LIFT if reach[v]) << shift)
+        unions = [d & 0x88]
+        for r in reach:
+            unions += [u | r for u in unions]
+        push += unions
     return image, push
 
 
@@ -196,39 +206,53 @@ def _revision(n: int, forbid_zero: bool) -> list[tuple[int, tuple[int, ...]]]:
 
 class _Search:
     """Backtracking that keeps every constraint group generalized-arc-
-    consistent (GAC) over 3-bit masks of lifts.
+    consistent (GAC) over the lifts of each variable.
 
-    Variable order: fewest candidates first, lowest id on ties, read off
-    ``buckets[k]``, the bitset of the unassigned variables with ``k``
-    candidates, where ``k = _SIZE[domain]``.  Value order: the scenario's
-    ``lift_order``, or a seeded per-variable shuffle of it.  The terms of a
-    group read disjoint variables, so revising a group is three lookups:
-    the term images, packed in a 9-bit key; the group's ``_revision`` entry
-    for the key, which holds their all-different support and the terms that
-    lose a value; and the support of each of those terms pushed back onto
-    its lifts.  A colour term's free lift ``-1`` reads the last domain,
-    which stays ``0b111``.  The search runs on an explicit stack of ``[var,
-    next value index, trail mark, domain, buckets]`` frames; backtracking
-    restores the domains from the trail and the buckets from the frame.  The
-    GAC fixpoint is unique whatever the order in which groups are revised,
-    so the nodes expanded depend only on the variable and value order.
+    ``domain`` holds one byte per table pair, ``U_i``'s nibble above
+    ``V_i``'s: bit 3 marks the variable assigned, bits 0-2 hold its lifts.
+    Every group is padded to three terms with the free last byte ``0x88``,
+    whose image is empty; a term reads one byte (a colour term only its
+    side's nibble).  Revising a group is three lookups: the term images,
+    packed in a 9-bit key; the group's ``_revision`` entry for the key, its
+    all-different support and the terms that lose a value; and the byte of
+    each of those terms pushed onto its support.
+
+    Variable order: fewest lifts first, lowest id on ties, found by a scan
+    of the domain translated into the least rank of each pair (``_LEAST``;
+    a nibble's ``_RANK`` is its number of lifts, 0 once assigned).  Value
+    order: the scenario's ``lift_order``, or a seeded per-variable shuffle
+    of it.  Each frame of the explicit stack, ``[var, next value index,
+    domain copy]``, restores the domain on backtracking.  The GAC fixpoint
+    is unique whatever the order in which groups are revised, so the nodes
+    expanded depend only on the variable and value order.
     """
 
     def __init__(self, inst: MspInstance, seed=None):
         nv = inst.n_vars
-        self.domain = [0b111] * (nv + 1)
+        free = nv // 2
+        self.domain = bytearray(b"\x77" * free + b"\x88")
         var_groups: list[list[int]] = [[] for _ in range(nv)]
-        self.groups = []
         for index, g in enumerate(inst.groups):
-            terms = []
-            for a, b, tab in g.terms:
+            for a, b, _ in g.terms:
                 var_groups[a].append(index)
                 if b >= 0:
                     var_groups[b].append(index)
+        self.side_groups = side_groups = [
+            (frozenset(u), frozenset(v), frozenset(u + v))
+            for u, v in zip(var_groups[::2], var_groups[1::2])
+        ]
+        self.groups = []
+        for g in inst.groups:
+            terms, reads = [], []
+            for a, b, tab in g.terms:
+                if b < 0 and a & 1:
+                    tab = tab[::3] * 3  # a colour term on V_i reads the low nibble
                 shift = 3 * len(terms)
-                terms.append((a, b, *_term_lookups(tab, shift), shift))
-            self.groups.append((tuple(terms), _revision(len(terms), g.forbid_zero)))
-        self.var_groups = [frozenset(gs) for gs in var_groups]
+                image, push = _term_lookups(tab, shift)
+                terms.append((a >> 1, push, shift, side_groups[a >> 1]))
+                reads += (a >> 1, image)
+            reads += (free, _PAD) * (3 - len(terms))
+            self.groups.append((*reads, terms, _revision(len(terms), g.forbid_zero)))
         order = inst.scenario.lift_order
         if seed is None:
             self.value_order = [order] * nv
@@ -237,84 +261,73 @@ class _Search:
             self.value_order = [
                 tuple(order[s] for s in rng.sample((0, 1, 2), 3)) for _ in range(nv)
             ]
-        self.trail: list[tuple[int, int]] = []
         self.nodes = self.backtracks = self.max_depth = 0
-        self.buckets = [0, 0, 0, (1 << nv) - 1]
 
-    def _propagate(self, pending: set[int]) -> bool:
-        """Revise the groups in ``pending``, and those of every variable that
-        loses a lift, up to the fixpoint; False on a wipe-out."""
-        domain, trail, buckets, groups, var_groups, size = (
-            self.domain, self.trail, self.buckets, self.groups, self.var_groups, _SIZE
-        )
+    def _propagate(self, pending: set[int]) -> int | None:
+        """Revise the groups in ``pending``, and those of every side that
+        loses a lift, up to the fixpoint; the index of a group that wipes
+        out, or None at the fixpoint."""
+        domain, groups, sides = self.domain, self.groups, _SIDES
         while pending:
             g = pending.pop()
-            terms, revision = groups[g]
-            key = 0
-            for a, b, image, _, _ in terms:
-                key |= image[domain[a] << 3 | domain[b]]
-            support, lost = revision[key]
+            p0, image0, p1, image1, p2, image2, terms, revision = groups[g]
+            support, lost = revision[image0[domain[p0]] | image1[domain[p1]] | image2[domain[p2]]]
             if not lost:
                 continue
             if not support:
-                return False
+                return g
             for i in lost:
-                a, b, _, push, shift = terms[i]
-                da, db = domain[a], domain[b]
-                both = push[da << 6 | db << 3 | support >> shift & 7]
-                new = both >> 3
-                if new != da:
-                    trail.append((a, da))
-                    domain[a] = new
-                    buckets[size[da]] ^= 1 << a
-                    buckets[size[new]] |= 1 << a
-                    pending |= var_groups[a]
-                new = both & 7
-                if new != db:
-                    trail.append((b, db))
-                    domain[b] = new
-                    buckets[size[db]] ^= 1 << b
-                    buckets[size[new]] |= 1 << b
-                    pending |= var_groups[b]
+                p, push, shift, changed = terms[i]
+                old = domain[p]
+                new = push[old << 3 | support >> shift & 7]
+                if new != old:
+                    domain[p] = new
+                    pending |= changed[sides[new ^ old]]
             # A revised group is at its own fixpoint.
             pending.discard(g)
-        return True
+        return None
 
     def run(self, mode: str, budget, limit):
         found: list[tuple[int, ...]] = []
-        count = 0
-        if not self._propagate(set(range(len(self.groups)))):
-            return found, 0, False  # unsat at the root
-        domain, trail, buckets = self.domain, self.trail, self.buckets
-        order = self.value_order
+        count = nodes = backtracks = max_depth = 0
+        aborted = False
+        domain, side_groups, order = self.domain, self.side_groups, self.value_order
         stack: list[list] = []
-        descend = True
+        # A wipe-out at the root leaves nothing to search.
+        descend = self._propagate(set(range(len(self.groups)))) is None
         while True:
             if descend:
-                bucket = buckets[1] or buckets[2] or buckets[3]
-                if bucket:
-                    var = (bucket & -bucket).bit_length() - 1
-                    stack.append([var, 0, len(trail), domain[var], buckets[:]])
+                least = domain.translate(_LEAST)
+                p = least.find(1)
+                if p < 0:
+                    p = least.find(2)
+                    if p < 0:
+                        p = least.find(3)
+                if p >= 0:
+                    # U_p, unless V_p alone has the least rank
+                    var = 2 * p + (_RANK[domain[p] >> 4] != least[p])
+                    stack.append([var, 0, bytes(domain)])
                 else:
                     count += 1
                     if mode != "count":
-                        found.append(tuple(d.bit_length() - 1 for d in domain[:-1]))
+                        found.append(tuple(
+                            (d >> s & 7).bit_length() - 1 for d in domain[:-1] for s in (4, 0)
+                        ))
                     if mode == "first":
-                        return found, count, False
+                        break
                     if limit is not None and count >= limit:
-                        return found, count, True
+                        aborted = True
+                        break
             if not stack:
-                return found, count, False
+                break
             frame = stack[-1]
-            var, k, mark, dom, saved = frame
+            var, k, saved = frame
             if k:
                 # Back from the value tried last: take it back.
-                for u, old in reversed(trail[mark:]):
-                    domain[u] = old
-                del trail[mark:]
-                domain[var] = dom
-                buckets[:] = saved
-                self.backtracks += 1
+                domain[:] = saved
+                backtracks += 1
+            p, shift = var >> 1, 4 - 4 * (var & 1)
+            dom = saved[p] >> shift & 7
             values = order[var]
             while k < 3 and not (dom >> values[k]) & 1:
                 k += 1
@@ -322,16 +335,20 @@ class _Search:
                 stack.pop()
                 descend = False
                 continue
-            if self.nodes == budget:
-                return found, count, True
+            if nodes == budget:
+                aborted = True
+                break
             frame[1] = k + 1
-            self.nodes += 1
-            if len(stack) > self.max_depth:
-                self.max_depth = len(stack)
-            buckets[_SIZE[dom]] ^= 1 << var
-            domain[var] = single = 1 << values[k]
+            nodes += 1
+            if len(stack) > max_depth:
+                max_depth = len(stack)
+            # var is assigned this one lift; the other side's nibble stays.
+            single = 1 << values[k]
+            domain[p] = saved[p] & 15 << 4 - shift | (8 | single) << shift
             # A singleton domain is already supported: nothing to revise.
-            descend = single == dom or self._propagate(set(self.var_groups[var]))
+            descend = single == dom or self._propagate(set(side_groups[p][var & 1])) is None
+        self.nodes, self.backtracks, self.max_depth = nodes, backtracks, max_depth
+        return found, count, aborted
 
 
 def _table_from_assignment(inst: MspInstance, lifts: tuple[int, ...]) -> CongruousTable:

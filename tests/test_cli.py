@@ -270,6 +270,8 @@ TABLE_7_ENTRY_2_9["rows"][1][0][0] = 2.9  # the pair (2, 3) written (2.9, 3)
         (["build", "--spec"], {"mode": "one-starter", "m": 7, "T0": T0_7}),
         (["batch", "--orders", 7, "--samples", 0], None),
         (["batch", "--orders", 7, "--samples", 1, "--budget", 0], None),
+        (["batch", "--orders", 7, "--samples", 1, "--workers", 0], None),
+        (["batch", "--orders", 7, "--samples", 1, "--workers", -3], None),
         (["build", "--mode", "one-starter", "--m", 7, "--T0", "2,3;4,6;1,5", "--key", 1,
           "--budget", 0], None),
         (["build", "--spec"], {"mode": "one-starter", "m": 7.9, "T0": T0_7, "key": 1}),
@@ -278,7 +280,8 @@ TABLE_7_ENTRY_2_9["rows"][1][0][0] = 2.9  # the pair (2, 3) written (2.9, 3)
         (["verify"], TABLE_7_ENTRY_2_9),
     ],
     ids=["verify-non-object", "build-list-key", "build-list-mu", "build-m0", "keys-m0",
-         "keys-no-spec", "build-no-key", "batch-samples0", "batch-budget0", "build-budget0",
+         "keys-no-spec", "build-no-key", "batch-samples0", "batch-budget0", "batch-workers0",
+         "batch-workers-neg", "build-budget0",
          "build-float-m", "build-float-key", "build-bool-key", "verify-float-entry"],
 )
 def test_ill_typed_input_exits_4(tmp_path, capsys, monkeypatch, argv, doc):

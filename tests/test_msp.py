@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import sys
 
@@ -26,25 +27,27 @@ from triplication import (
 from triplication.msp import _Search
 
 import golden
-from oracles import gac_closure, solutions_by_color_classes, solutions_literal
+from oracles import _groups, gac_closure, solutions_by_color_classes, solutions_literal
 
 
 def table7():
     return validate(golden.TABLE_7_KEY1, 7)
 
 
-def chain_tables(steps):
+def chain_tables(steps, budget=None):
     """Tables of the chain 7 -> 21 -> ...: each step builds the one-starter
     table of the last recovered starter with its smallest admissible key and
-    solves it under ``carry``.  Yields ``(table, outcome)``."""
+    solves it under ``carry`` within ``budget`` nodes.  Yields ``(table,
+    outcome)``."""
     starter = Pairing(7, ((2, 3), (4, 6), (1, 5)))
-    for _ in range(steps):
+    for step in range(steps):
+        if step:
+            starter = recover_starter(tt, outcome.tables[0], sc)
         keys = admissible_keys(starter, starter, conjugate(starter))
         tt = one_starter_table(starter, min(keys))
         sc = Scenario("carry", tt.m)
-        outcome = solve(compile_instance(tt, sc), mode="first")
+        outcome = solve(compile_instance(tt, sc), mode="first", budget=budget)
         yield tt, outcome
-        starter = recover_starter(tt, outcome.tables[0], sc)
 
 
 def printed_solution_carry():
@@ -193,8 +196,15 @@ def test_search_counters_are_pinned(kind):
         st = out.stats
         assert (out.status, st.nodes, st.backtracks, st.max_depth) == expected
     if kind == "carry":
-        got = [(tt.m, o.stats.nodes, o.stats.backtracks) for tt, o in chain_tables(3)]
+        *steps, (tt, last) = chain_tables(4, budget=20000)
+        got = [(tt.m, o.stats.nodes, o.stats.backtracks) for tt, o in steps]
         assert got == [(7, 21, 1), (21, 63, 1), (63, 6585, 6397)]
+        # m = 189: 566 variables, where the variable choice costs the most
+        st = last.stats
+        assert tt.m == 189
+        assert (last.status, st.nodes, st.backtracks, st.max_depth) == (
+            "aborted", 20000, 19526, 525
+        )
     if kind == "mod":
         # m = 11 has 3-free part p = 11 = 2 (mod 3): the mod discriminators
         # list the lifts of a residue in the order 0, 2, 1, and so must the
@@ -329,23 +339,25 @@ def test_color_class_oracle_matches_literal_enumeration(kind):
 
 
 def _lifts(domain):
-    """The lift indices left in each 3-bit domain, as sets."""
-    return [{k for k in range(3) if d >> k & 1} for d in domain]
+    """The lift indices left at each variable, as sets, read off the nibbles
+    of the pair bytes; the last byte is the free slot."""
+    return [{k for k in range(3) if d >> s >> k & 1} for d in domain[:-1] for s in (4, 0)]
 
 
-def _buckets(domain):
-    """The variables with 0, 1, 2 and 3 lifts left, as bitsets."""
-    out = [0] * 4
-    for j, d in enumerate(domain):
-        out[d.bit_count()] |= 1 << j
-    return out
+def _set_lifts(domain, j, lifts, assign=False):
+    """Write the set ``lifts`` into the nibble of variable ``j``, marked
+    assigned if ``assign``, as the search marks the lift it tries."""
+    shift = 4 - 4 * (j & 1)
+    nibble = sum(1 << k for k in lifts) | 8 * assign
+    domain[j >> 1] = domain[j >> 1] & 15 << 4 - shift | nibble << shift
 
 
 @pytest.mark.parametrize("m", [7, 9, 11])
 def test_propagation_reaches_the_gac_closure(m):
     """From random reachable states, ``_Search._propagate`` prunes every
     group to the brute-force GAC closure, or wipes out exactly when it
-    does, and keeps its buckets in step with the domains."""
+    does.  It only clears lift bits: no assigned bit changes, a byte's
+    other side keeps what the closure keeps, and the free slot stays."""
     rng = random.Random(m)
     checked = wipeouts = 0
     for seed, kind in ((0, "mod"), (1, "carry"), (2, "mod")):
@@ -358,28 +370,72 @@ def test_propagation_reaches_the_gac_closure(m):
             domain = search.domain
             # Root: prune a few random lifts at once, then revise every group.
             for j in rng.sample(range(nv), 3):
-                domain[j] &= ~(1 << rng.randrange(3))
+                _set_lifts(domain, j, {0, 1, 2} - {rng.randrange(3)})
             pending = set(range(len(search.groups)))
             while True:
-                search.buckets = _buckets(domain[:-1])
-                closure = gac_closure(tt, sc, _lifts(domain[:-1]))
-                if not search._propagate(pending):
+                before = bytes(domain)
+                closure = gac_closure(tt, sc, _lifts(domain))
+                if search._propagate(pending) is not None:
                     assert closure is None
                     wipeouts += 1
                     break
                 assert closure is not None
-                assert _lifts(domain[:-1]) == closure
-                assert domain[-1] == 0b111
-                assert search.buckets == _buckets(domain[:-1])
+                lifts = _lifts(domain)
+                assert lifts == closure
+                assert all(new & ~old == 0 and (new ^ old) & 0x88 == 0
+                           for old, new in zip(before, domain))
+                assert domain[-1] == 0x88
                 checked += 1
-                # Prune one lift of an open variable: only its groups change.
-                open_vars = [j for j in range(nv) if domain[j].bit_count() > 1]
+                # Prune one lift of an open variable, assigning it if one
+                # lift is left: only its side's groups change.
+                open_vars = [j for j in range(nv) if len(lifts[j]) > 1]
                 if not open_vars:
                     break
                 j = rng.choice(open_vars)
-                domain[j] &= ~(1 << rng.choice([k for k in range(3) if domain[j] >> k & 1]))
-                pending = set(search.var_groups[j])
+                left = lifts[j] - {rng.choice(sorted(lifts[j]))}
+                _set_lifts(domain, j, left, assign=len(left) == 1)
+                pending = set(search.side_groups[j >> 1][j & 1])
     assert checked > 10 and wipeouts > 0
+
+
+@pytest.mark.parametrize("kind", ["mod", "carry"])
+def test_wipe_out_names_a_group_without_support(kind):
+    """``_propagate`` returns the group that wiped out: brute force over the
+    domains it leaves finds no joint value of that group alone."""
+    rng = random.Random(kind)
+    named = 0
+    for tt in (validate(golden.UNSOLVABLE_11, 11), random_tt(9, seed=5)):
+        sc = Scenario(kind, tt.m)
+        inst = compile_instance(tt, sc)
+        residues = inst.residues
+        # The oracle's groups, in the solver's order, matched by variables.
+        oracle = {frozenset(group[0]): group for group in _groups(tt, sc)}
+        aligned = [
+            oracle.pop(frozenset(j for a, b, _ in g.terms for j in (a, b) if j >= 0))
+            for g in inst.groups
+        ]
+        assert not oracle
+        for _ in range(20):
+            search = _Search(inst)
+            domain = search.domain
+            pending = set(range(len(search.groups)))
+            # Assign random lifts, as the search does, until a wipe-out.
+            while (g := search._propagate(pending)) is None:
+                lifts = _lifts(domain)
+                open_vars = [j for j in range(inst.n_vars) if len(lifts[j]) > 1]
+                if not open_vars:
+                    break
+                j = rng.choice(open_vars)
+                _set_lifts(domain, j, {rng.choice(sorted(lifts[j]))}, assign=True)
+                pending = set(search.side_groups[j >> 1][j & 1])
+            else:
+                variables, nonzero, values = aligned[g]
+                lifts = _lifts(domain)
+                for ks in itertools.product(*(sorted(lifts[j]) for j in variables)):
+                    ws = values([residues[j] + k * tt.m for j, k in zip(variables, ks)])
+                    assert len(set(ws)) < len(ws) or (nonzero and 0 in ws)
+                named += 1
+    assert named >= 10
 
 
 # ---------------------------------------------------------------- random_tt
