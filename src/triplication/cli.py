@@ -287,7 +287,8 @@ def cmd_batch(args) -> int:
         if (tt.m, index) not in done
     ]
 
-    pool = ProcessPoolExecutor(args.workers) if args.workers > 1 and jobs else None
+    workers = min(args.workers, len(jobs))  # a pool starts all its workers at once
+    pool = ProcessPoolExecutor(workers) if workers > 1 else None
     with open(log_path, "a") as log, pool or nullcontext():
         for record in (pool.map if pool else map)(_batch_job, jobs):
             log.write(json.dumps(record) + "\n")

@@ -437,12 +437,11 @@ def check_congruous(tt: TriplicationTable, ct: CongruousTable, sc) -> CongruityR
     if violations:
         return CongruityReport(tuple(violations))
 
-    carries = tt.carry_tables
     # Pair i as its two encoded elements, left[i] = (u_i, U_i), right[i] = (v_i, V_i).
     left = [(u, bu) for (u, _), (bu, _) in zip(tt.pairs, ct.values)]
     right = [(v, bv) for (_, v), (_, bv) in zip(tt.pairs, ct.values)]
-    boxdiffs = list(map(sc.box_sub, left, right, carries.delta))
-    boxsums = list(map(sc.box_add, left, right, carries.sigma))
+    boxdiffs = list(map(sc.box_sub, left, right))
+    boxsums = list(map(sc.box_add, left, right))
 
     # ((1)) rows
     (special,), *rows = _rows(boxdiffs)

@@ -69,8 +69,9 @@ def _odd_order(m: int, least: int = 3) -> None:
 
 
 def _at_least_one(name: str, value) -> None:
-    """Raise :class:`InvalidInput` for a count below 1; ``None`` passes."""
-    if value is not None and value < 1:
+    """Raise :class:`InvalidInput` unless ``value`` is an integer >= 1;
+    ``None`` passes."""
+    if value is not None and _int(value, name) < 1:
         raise InvalidInput(f"{name} must be >= 1, got {value}")
 
 

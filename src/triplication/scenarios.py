@@ -7,7 +7,7 @@ is a bijection.  Two concrete scenarios are exposed:
 * ``mod``:   ``f(x) = x mod 3^(nu+1)`` where ``m = 3^nu * p`` with ``3 ∤ p``.
   Box-operations are plain arithmetic mod ``3^(nu+1)``.
 * ``carry``: ``f(x) = x // m``, so ``U`` is the base-``m`` digit carry.
-  Box-operations need an explicit carry bit.
+  Box-operations also add the residues' carry.
 
 Both satisfy ``f(0) = 0``, and both make the pair sets of any fixed
 triplication table yield the same strong starters.  Everything else is
@@ -95,25 +95,23 @@ class Scenario:
                 return x
         raise IncompatibleResidues(f"no lift of {u} has discriminator {U}")
 
-    def box_sub(self, a, b, delta: int = 0) -> int:
-        """Discriminator of ``F(a) - F(b)``.
-
-        Carry scenario: ``(U - V - delta) mod 3`` with ``delta = 1`` iff the
-        residue difference underflows; the caller supplies the bit (it is
-        precomputed per table pair).  Mod scenario: plain subtraction mod
-        ``3^(nu+1)``; the bit is ignored.
+    def box_sub(self, a, b) -> int:
+        """Discriminator of ``F(a) - F(b)`` for encodings ``a = (u, U)`` and
+        ``b = (v, V)``: ``(U - V) mod 3^(nu+1)`` under mod, ``(U - V -
+        delta) mod 3`` under carry, where the borrow ``delta`` is ``u < v``.
         """
-        U, V = a[1], b[1]
+        (u, U), (v, V) = a, b
         if self.kind == "mod":
             return (U - V) % self.r
-        return (U - V - delta) % 3
+        return (U - V - (u < v)) % 3
 
-    def box_add(self, a, b, sigma: int = 0) -> int:
-        """Discriminator of ``F(a) + F(b)``; see :meth:`box_sub`."""
-        U, V = a[1], b[1]
+    def box_add(self, a, b) -> int:
+        """Discriminator of ``F(a) + F(b)``: ``(U + V) mod 3^(nu+1)`` under
+        mod, ``(U + V + sigma) mod 3`` under carry with ``sigma = u + v >= m``."""
+        (u, U), (v, V) = a, b
         if self.kind == "mod":
             return (U + V) % self.r
-        return (U + V + sigma) % 3
+        return (U + V + (u + v >= self.m)) % 3
 
     @cached_property
     def lift_order(self) -> tuple[int, int, int]:

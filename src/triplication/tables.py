@@ -25,7 +25,7 @@ from functools import cached_property
 
 from .errors import InputNotStrongStarter, InvalidInput, NotATable
 from .pairings import Pairing, StarterKind, classify
-from .pairings import _int, _int_pairs, _odd_order, _table_order
+from .pairings import _int, _table_order
 
 __all__ = [
     "CarryTables",
@@ -78,14 +78,12 @@ class CarryTables:
 class TriplicationTable:
     """A validated triplication table.  Construct via :func:`validate`.
 
-    ``signs[d-1]`` is ``+1`` when row ``d`` carries directed difference
-    ``+d`` and ``-1`` for ``-d``.  Derived index structures are computed
-    lazily and cached; the value itself is immutable and safe to share.
+    Everything else is read off ``m`` and the pairs, computed lazily and
+    cached; the value itself is immutable and safe to share.
     """
 
     m: int
     pairs: tuple[Pair, ...]
-    signs: tuple[int, ...]
 
     @property
     def q(self) -> int:
@@ -96,8 +94,17 @@ class TriplicationTable:
         return self.pairs[0][0]
 
     def row(self, d: int) -> tuple[Pair, Pair, Pair]:
-        """The three pairs of regular row ``d`` (1-based)."""
-        return self.pairs[3 * d - 2], self.pairs[3 * d - 1], self.pairs[3 * d]
+        """The three pairs of regular row ``d``, ``1 <= d <= q``."""
+        if not 1 <= d <= self.q:
+            raise InvalidInput(f"row {d} outside 1..{self.q}")
+        return _rows(self.pairs)[d]
+
+    @cached_property
+    def signs(self) -> tuple[int, ...]:
+        """``signs[d-1]`` is ``+1`` when row ``d`` carries directed
+        difference ``+d`` and ``-1`` for ``-d``."""
+        return tuple(1 if (v - u) % self.m == d else -1
+                     for d, ((u, v), *_) in enumerate(_rows(self.pairs)[1:], 1))
 
     @cached_property
     def monochrome_sets(self) -> MonochromeSets:
@@ -148,8 +155,8 @@ def _check_sums(pairs: tuple[Pair, ...], m: int) -> None:
             raise NotATable("iii", f"sum {s} occurs {k} times, at most {cap} allowed")
 
 
-def _check_clauses(pairs: tuple[Pair, ...], m: int) -> tuple[int, ...]:
-    """Check clauses (i)-(iv) in order; return the per-row signs."""
+def _check_clauses(pairs: tuple[Pair, ...], m: int) -> None:
+    """Check clauses (i)-(iv) in order."""
     counts = Counter()
     for u, v in pairs:
         counts[u] += 1
@@ -166,14 +173,12 @@ def _check_clauses(pairs: tuple[Pair, ...], m: int) -> tuple[int, ...]:
         raise NotATable("ii", f"pair 0 is {pairs[0]}, expected a repeated pair (t, t)")
     if u0 == 0:
         raise NotATable("ii", "key must be nonzero")
-    signs = []
     for d, row in enumerate(_rows(pairs)[1:], 1):
         diffs = [(v - u) % m for u, v in row]
         if len(set(diffs)) != 1 or diffs[0] not in (d % m, (-d) % m):
             raise NotATable(
                 "ii", f"row {d} has directed differences {diffs}, expected all +{d} or all -{d}"
             )
-        signs.append(1 if diffs[0] == d % m else -1)
 
     _check_sums(pairs, m)
 
@@ -183,25 +188,20 @@ def _check_clauses(pairs: tuple[Pair, ...], m: int) -> tuple[int, ...]:
             raise NotATable("iv", f"pairs {seen[pair]} and {i} are both {pair}")
         seen[pair] = i
 
-    return tuple(signs)
-
 
 def validate(pairs, m: int) -> TriplicationTable:
     """Validate an ordered pairing of ``3q + 1`` pairs over ``Z_m``.
 
-    Returns the table with derived row signs, or raises :class:`NotATable`
-    naming the first failed clause.  Either row sign is accepted.
+    Returns the table, or raises :class:`NotATable` naming the first failed
+    clause.  Either row sign is accepted.  The pairs are read as a
+    :class:`Pairing` over ``Z_m``.
     """
-    pairs = _int_pairs(pairs)
-    _odd_order(m)
+    pairs = Pairing(m, pairs).pairs
     n = (3 * m - 1) // 2  # 3q + 1
     if len(pairs) != n:
         raise InvalidInput(f"expected {n} pairs for order {m}, got {len(pairs)}")
-    for u, v in pairs:
-        if not (0 <= u < m and 0 <= v < m):
-            raise InvalidInput(f"component out of range for Z_{m}: ({u}, {v})")
-    signs = _check_clauses(pairs, m)
-    return TriplicationTable(m=m, pairs=pairs, signs=signs)
+    _check_clauses(pairs, m)
+    return TriplicationTable(m, pairs)
 
 
 def derive_index_structures(
@@ -259,7 +259,7 @@ def equivalent(a: TriplicationTable, b: TriplicationTable) -> bool:
 def render_table(tt: TriplicationTable) -> str:
     """Human-readable box layout: the special pair centered over column 1,
     one regular row per line."""
-    cells = [[f"({u}, {v})" for u, v in tt.row(d)] for d in range(1, tt.q + 1)]
+    cells = [[f"({u}, {v})" for u, v in row] for row in _rows(tt.pairs)[1:]]
     width = max((len(c) for row in cells for c in row), default=6)
     width = max(width, len(f"({tt.key}, {tt.key})"))
     blank = " " * width

@@ -533,6 +533,28 @@ def test_batch_workers_pool(tmp_path):
     assert len((tmp_path / "batch_log.jsonl").read_text().splitlines()) == 4
 
 
+def test_batch_pool_is_capped_at_the_job_count(tmp_path, monkeypatch):
+    import triplication.cli as cli
+
+    asked = []
+
+    class InProcessPool(contextlib.nullcontext):
+        def __init__(self, max_workers):
+            super().__init__()
+            asked.append(max_workers)
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    args = ["batch", "--orders", "5", "--samples", 2, "--workers", 8, "--outdir", tmp_path]
+    assert run(args) == 0
+    assert asked == [2]
+    # a resume with one record missing runs its one job without a pool
+    assert run(args + ["--samples", 3]) == 0
+    assert asked == [2]
+    assert len((tmp_path / "batch_log.jsonl").read_text().splitlines()) == 3
+
+
 def test_outdir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("TRIPLICATE_OUTDIR", str(tmp_path / "env_out"))
     code = run(

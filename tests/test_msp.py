@@ -153,6 +153,8 @@ def test_congruity_crossed_tables_do_not_pass():
         check_congruous(validate(golden.UNSOLVABLE_11, 11), ct, Scenario("mod", 11))
     with pytest.raises(ScenarioMismatch):
         check_congruous(wild, ct, Scenario("carry", 7))
+    with pytest.raises(ScenarioMismatch, match="scenario modulus 9"):
+        check_congruous(wild, ct, Scenario("mod", 9))
 
 
 def test_unsatisfiable_table_is_certified():
@@ -177,11 +179,16 @@ def test_budget_abort_is_distinct_from_unsat():
 
 def test_budget_below_one_is_invalid_input():
     inst = compile_instance(table7(), Scenario("carry", 7))
-    for budget in (0, -5):
+    for budget in (0, -5, 2.5, True):
         for mode in ("first", "all", "count"):
             with pytest.raises(InvalidInput, match="budget"):
                 solve(inst, mode=mode, budget=budget)
     assert solve(inst, mode="first", budget=1).status == "aborted"
+    unsat = compile_instance(validate(golden.UNSOLVABLE_11, 11), Scenario("mod", 11))
+    with pytest.raises(InvalidInput, match="budget must be an integer"):
+        solve(unsat, budget=2.5)
+    with pytest.raises(InvalidInput, match="unknown mode"):
+        solve(inst, mode="any")
 
 
 @pytest.mark.parametrize("kind", ["mod", "carry"])
@@ -457,9 +464,11 @@ def test_random_tt_guards():
         random_tt(3)
     with pytest.raises(BudgetExceeded):
         random_tt(15, seed=0, budget=5)
-    for budget in (0, -5):
+    for budget in (0, -5, 1.5, True):
         with pytest.raises(InvalidInput, match="budget"):
             random_tt(7, seed=1, budget=budget)
+    with pytest.raises(InvalidInput, match="budget"):
+        random_tt(41, seed=0, budget=1.5)
 
 
 def test_random_tt_stream_is_pinned():

@@ -64,6 +64,9 @@ def test_classify_pseudostarter_with_repeat():
     out = classify(Pairing(7, golden.EPI_7[2]))
     assert out.kind == StarterKind.PSEUDOSTARTER
     assert "element 2" in out.witness
+    out = classify(Pairing(7, [(0, 1), (2, 4), (3, 6)]))
+    assert out.kind == StarterKind.PSEUDOSTARTER
+    assert "component 0" in out.witness
 
 
 def test_classify_not_any():
@@ -175,7 +178,7 @@ def test_enumerate_no_duplicates_and_counts():
 def test_enumerate_limit_and_guard():
     assert len(enumerate_strong_starters(11, limit=2)) == 2
     assert len(enumerate_strong_starters(7, limit=2)) == 2
-    for limit in (0, -1):
+    for limit in (0, -1, 1.5, True):
         with pytest.raises(InvalidInput):
             enumerate_strong_starters(7, limit=limit)
     with pytest.raises(OrderTooLarge):

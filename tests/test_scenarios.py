@@ -31,6 +31,12 @@ def test_decode_examples():
         Scenario("mod", 15).decode((1, 3))
     with pytest.raises(InvalidInput):
         Scenario("carry", 15).decode((15, 1))
+    with pytest.raises(InvalidInput, match="discriminator 3 outside Z_3"):
+        Scenario("carry", 15).decode((1, 3))
+    with pytest.raises(InvalidInput, match="45 outside Z_45"):
+        Scenario("mod", 15).f(45)
+    with pytest.raises(InvalidInput, match="residue -1 outside Z_7"):
+        Scenario("mod", 7).variable_domain(-1)
 
 
 def test_discriminator_column_order7():
@@ -73,17 +79,17 @@ def test_box_sub_golden():
     assert sc.box_sub(EncodedElement(2, 2), EncodedElement(3, 0)) == 2
     carry = Scenario("carry", 7)
     # table pair (2, 3) underflows, so delta = 1; cell reads 2 - 0 - 1
-    assert carry.box_sub((2, 2), (3, 0), delta=1) == 1
-    assert carry.box_sub((5, 1), (5, 1), delta=0) == 0
+    assert carry.box_sub((2, 2), (3, 0)) == 1
+    assert carry.box_sub((5, 1), (5, 1)) == 0
 
 
 def test_box_add_golden():
     carry = Scenario("carry", 7)
     # weak pair (3, 4): residues overflow, so sigma = 1
-    assert carry.box_add((3, 2), (4, 2), sigma=1) == 2
+    assert carry.box_add((3, 2), (4, 2)) == 2
     # weak pair (2, 3): no overflow
-    assert carry.box_add((2, 2), (3, 0), sigma=0) == 2
-    assert carry.box_add((0, 0), (0, 0), sigma=0) == 0
+    assert carry.box_add((2, 2), (3, 0)) == 2
+    assert carry.box_add((0, 0), (0, 0)) == 0
 
 
 @pytest.mark.parametrize("m", [7, 9, 15])
@@ -98,10 +104,8 @@ def test_box_operations_match_decode_arithmetic(kind, m):
         a = enc[x]
         for y in range(n):
             b = enc[y]
-            sigma = 1 if a.u + b.u >= m else 0
-            delta = 1 if a.u - b.u < 0 else 0
-            assert sc.box_add(a, b, sigma) == sc.f((x + y) % n)
-            assert sc.box_sub(a, b, delta) == sc.f((x - y) % n)
+            assert sc.box_add(a, b) == sc.f((x + y) % n)
+            assert sc.box_sub(a, b) == sc.f((x - y) % n)
 
 
 @pytest.mark.parametrize("kind", ["mod", "carry"])
@@ -132,13 +136,11 @@ def test_box_sums_discriminate_equal_residue_sums(kind):
         a = enc[x]
         for y in range(n):
             b = enc[y]
-            sigma = 1 if a.u + b.u >= m else 0
-            delta = 1 if a.u - b.u < 0 else 0
             add_by_class.setdefault((a.u + b.u) % m, []).append(
-                ((x + y) % n, sc.box_add(a, b, sigma))
+                ((x + y) % n, sc.box_add(a, b))
             )
             sub_by_class.setdefault((a.u - b.u) % m, []).append(
-                ((x - y) % n, sc.box_sub(a, b, delta))
+                ((x - y) % n, sc.box_sub(a, b))
             )
     for groups in (add_by_class, sub_by_class):
         for entries in groups.values():

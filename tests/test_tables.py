@@ -86,10 +86,37 @@ def test_validate_rejects_zero_key():
     assert exc.value.clause in ("i", "ii")
 
 
+@pytest.mark.parametrize(
+    "changes, detail",
+    [
+        ({0: (1, 3), 1: (2, 1)}, "pair 0 is (1, 3), expected a repeated pair"),
+        ({0: (0, 0), 5: (5, 1), 9: (3, 1)}, "key must be nonzero"),
+    ],
+    ids=["pair-0-not-repeated", "key-0"],
+)
+def test_validate_names_each_clause_ii_failure(changes, detail):
+    # each change keeps clause (i)'s value counts
+    bad = list(golden.TABLE_7_KEY1)
+    for i, pair in changes.items():
+        bad[i] = pair
+    with pytest.raises(NotATable) as exc:
+        validate(bad, 7)
+    assert exc.value.clause == "ii" and detail in exc.value.detail
+
+
 def test_validate_rejects_sum_overflow():
     with pytest.raises(NotATable) as exc:
         validate(CLAUSE3_VIOLATION, 7)
     assert exc.value.clause == "iii"
+
+
+def test_rows_are_read_for_d_in_1_to_q_only():
+    tt = validate(golden.TABLE_7_KEY1, 7)
+    assert [tt.row(d) for d in (1, 2, 3)] == [tuple(golden.TABLE_7_KEY1[i : i + 3])
+                                             for i in (1, 4, 7)]
+    for d in (0, -1, 4):
+        with pytest.raises(InvalidInput, match=f"row {d} outside 1..3"):
+            tt.row(d)
 
 
 def test_validate_rejects_wrong_length():
@@ -305,4 +332,8 @@ def test_table_json_rejects_inconsistent_metadata():
     doc = table_to_json(validate(golden.TABLE_7_KEY1, 7))
     doc["key"] = 2
     with pytest.raises(InvalidInput):
+        table_from_json(doc)
+    doc = table_to_json(validate(golden.TABLE_7_KEY1, 7))
+    doc["signs"][0] = -1
+    with pytest.raises(InvalidInput, match="declared signs"):
         table_from_json(doc)
