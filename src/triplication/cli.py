@@ -30,7 +30,7 @@ from dataclasses import fields
 
 from .errors import BudgetExceeded, InvalidInput, NotATable, TriplicationError
 from .msp import compile_instance, random_tt, solution_to_json, solve
-from .pairings import Pairing, _at_least_one, _int, _odd_order, classify, pairing_from_json
+from .pairings import _at_least_one, _odd_order, classify, pairing_from_json
 from .recovery import recover_starter, starter_from_json, starter_to_json
 from .scenarios import _KINDS, Scenario
 from .tables import render_table, table_from_json, table_to_json
@@ -56,14 +56,10 @@ def _exit_for(error: str) -> tuple[int, str]:
     return _EXITS.get(error, (EXIT_INVALID, "error"))
 
 
-def parse_pair_list(text: str, m: int) -> Pairing:
+def parse_pair_list(text: str, m: int) -> list[list[int]]:
     """Parse the command-line pairing literal ``"x,y;x,y;..."``."""
-    _odd_order(m)
-    pairs = []
-    for chunk in text.split(";"):
-        x, y = chunk.split(",")
-        pairs.append((int(x.strip()) % m, int(y.strip()) % m))
-    return Pairing(m, tuple(pairs))
+    m = _odd_order(m)
+    return [[int(x) % m for x in chunk.split(",")] for chunk in text.split(";")]
 
 
 def _spec_from_args(args) -> dict:
@@ -76,7 +72,7 @@ def _spec_from_args(args) -> dict:
     for name in ("T0", "T1", "T2"):
         text = getattr(args, name)
         if text is not None:
-            spec[name] = [list(p) for p in parse_pair_list(text, args.m).pairs]
+            spec[name] = parse_pair_list(text, args.m)
     if args.mu is not None:
         spec["mu"] = args.mu
     return spec
@@ -105,9 +101,8 @@ def cmd_build(args) -> int:
         key = args.key if args.key is not None else spec.get("key")
         if key is None:
             raise InvalidInput("a key is required (--key or spec file)")
-        key = _int(key, "key")
         tt = template_table(*base, key)
-        provenance_spec = {"template": spec, "key": key}
+        provenance_spec = {"template": spec, "key": tt.key}
     sc = Scenario(scenario_kind, tt.m)
     inst = compile_instance(tt, sc)
     outcome = solve(inst, mode="first", budget=args.budget, seed=args.seed)

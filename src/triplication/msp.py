@@ -457,7 +457,7 @@ def check_congruous(tt: TriplicationTable, ct: CongruousTable, sc) -> CongruityR
         if len(set(vals)) != len(vals):
             violations.append(f"(2) weak set {s} sums {vals} not distinct")
         if s == 0 and any(w == 0 for w in vals):
-            violations.append(f"(2) weak set 0 contains a zero sum")
+            violations.append("(2) weak set 0 contains a zero sum")
 
     # ((3)) colors
     for c, positions in tt.monochrome_sets.items():
@@ -465,7 +465,7 @@ def check_congruous(tt: TriplicationTable, ct: CongruousTable, sc) -> CongruityR
         if len(set(vals)) != len(vals):
             violations.append(f"(3) color {c} values {vals} not distinct")
         if c == 0 and any(w == 0 for w in vals):
-            violations.append(f"(3) color 0 contains value 0")
+            violations.append("(3) color 0 contains value 0")
 
     return CongruityReport(tuple(violations))
 
@@ -492,7 +492,7 @@ def random_tt(
     in ascending order, ``i`` drawn as ``rng.randrange(n)`` draws it: a seed
     yields the same table, or abort, as ``rng.choice`` on the candidates.
     """
-    _odd_order(m, least=5)
+    m = _odd_order(m, least=5)
     _at_least_one("budget", budget)
     getrandbits = random.Random(seed).getrandbits
     q = (m - 1) // 2

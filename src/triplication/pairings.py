@@ -17,6 +17,7 @@ Classification vocabulary (strongest first):
 
 from __future__ import annotations
 
+import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -62,10 +63,12 @@ def modinv(a: int, n: int) -> int:
     return s % n
 
 
-def _odd_order(m: int, least: int = 3) -> None:
-    """Raise :class:`InvalidInput` unless ``m`` is odd and ``>= least``."""
+def _odd_order(m: int, least: int = 3) -> int:
+    """``m`` as an int; :class:`InvalidInput` unless odd and ``>= least``."""
+    m = _int(m, "order")
     if m < least or m % 2 == 0:
         raise InvalidInput(f"order must be odd and >= {least}, got {m}")
+    return m
 
 
 def _at_least_one(name: str, value) -> None:
@@ -131,8 +134,8 @@ class Pairing:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        m = self.modulus
-        _odd_order(m)
+        m = _odd_order(self.modulus)
+        object.__setattr__(self, "modulus", m)
         object.__setattr__(self, "pairs", _int_pairs(self.pairs))
         for x, y in self.pairs:
             if not (0 <= x < m and 0 <= y < m):
@@ -282,24 +285,23 @@ def enumerate_strong_starters(
 
     Intended as an independent oracle for small orders; refuses ``m > 15``
     unless ``allow_large`` is set.  Each unordered strong starter is emitted
-    exactly once, in canonical ordered form (directed differences ``+i``).
+    exactly once, in canonical ordered form (directed differences ``+i``);
+    ``limit`` keeps the first ones found.
     """
-    _odd_order(m)
+    m = _odd_order(m)
     if m > 15 and not allow_large:
         raise OrderTooLarge(f"m={m} enumeration needs allow_large=True")
     _at_least_one("limit", limit)
     q = (m - 1) // 2
-    out: list[Pairing] = []
     used = [False] * m
     class_used = [False] * (q + 1)
     sum_used = [False] * m
     chosen: list[tuple[int, int]] = []
 
-    def extend() -> bool:
-        # Returns False to stop the whole search (limit reached).
+    def extend():
         if len(chosen) == q:
-            out.append(normalize_ordered(Pairing(m, tuple(chosen))))
-            return limit is None or len(out) < limit
+            yield normalize_ordered(Pairing(m, tuple(chosen)))
+            return
         x = next(e for e in range(1, m) if not used[e])
         used[x] = True
         for y in range(x + 1, m):
@@ -316,19 +318,14 @@ def enumerate_strong_starters(
             class_used[c] = True
             sum_used[s] = True
             chosen.append((x, y))
-            keep_going = extend()
+            yield from extend()
             chosen.pop()
             used[y] = False
             class_used[c] = False
             sum_used[s] = False
-            if not keep_going:
-                used[x] = False
-                return False
         used[x] = False
-        return True
 
-    extend()
-    return out
+    return list(itertools.islice(extend(), limit))
 
 
 def pairing_to_json(p: Pairing) -> dict:

@@ -46,7 +46,7 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidInput(f"unknown scenario kind {self.kind!r}")
-        _odd_order(self.m)
+        object.__setattr__(self, "m", _odd_order(self.m))
 
     @cached_property
     def nu(self) -> int:

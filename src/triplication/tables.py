@@ -95,6 +95,7 @@ class TriplicationTable:
 
     def row(self, d: int) -> tuple[Pair, Pair, Pair]:
         """The three pairs of regular row ``d``, ``1 <= d <= q``."""
+        d = _int(d, "row")
         if not 1 <= d <= self.q:
             raise InvalidInput(f"row {d} outside 1..{self.q}")
         return _rows(self.pairs)[d]
@@ -196,7 +197,8 @@ def validate(pairs, m: int) -> TriplicationTable:
     clause.  Either row sign is accepted.  The pairs are read as a
     :class:`Pairing` over ``Z_m``.
     """
-    pairs = Pairing(m, pairs).pairs
+    p = Pairing(m, pairs)
+    m, pairs = p.modulus, p.pairs
     n = (3 * m - 1) // 2  # 3q + 1
     if len(pairs) != n:
         raise InvalidInput(f"expected {n} pairs for order {m}, got {len(pairs)}")

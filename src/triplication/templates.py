@@ -11,8 +11,10 @@ with the special pair ``(t, t)`` on top.  A template satisfies table
 clauses (i) and (ii) by construction.  Clause (iii) can fail for a base with
 repeated sums, such as the non-strong order-11 starter
 ``1,4;2,7;3,5;6,10;8,9`` in one-starter mode.  A key is *admissible* when
-clause (iv) (no duplicate pairs) holds; its template is a triplication table
-when clause (iii) holds as well.
+clause (iv) (no duplicate pairs) holds, as read off the rows: no key if
+``T1`` and ``T2`` share a pair, else all ``t`` but ``x_i^0 - x_i^1`` and
+``x_i^0 - x_i^2``.  Its template is a triplication table when clause (iii)
+holds as well.
 
 Specializations:
 
@@ -140,6 +142,7 @@ def build_template(t0: Pairing, t1: Pairing, t2: Pairing, key: int) -> tuple[Pai
     """
     t0, t1, t2 = _checked_base(t0, t1, t2)
     m = t0.modulus
+    key = _int(key, "key")
     if not 1 <= key < m:
         raise InvalidInput(f"key must lie in 1..{m - 1}, got {key}")
     pairs = _emit(t0, t1, t2, key)
@@ -147,22 +150,27 @@ def build_template(t0: Pairing, t1: Pairing, t2: Pairing, key: int) -> tuple[Pai
     return tuple(pairs)
 
 
+def _keys(t0: Pairing, t1: Pairing, t2: Pairing) -> frozenset[int]:
+    """The admissible keys of an aligned base.  Row ``i`` has difference
+    class ``i`` and the special pair 0, so a pair repeats only in a row:
+    where ``T1`` and ``T2`` share it, or at ``key = x0 - x`` for ``x`` the
+    first component of ``T1``'s or ``T2``'s pair."""
+    if not is_disjoint(t1, t2):
+        return frozenset()
+    m = t0.modulus
+    hits = {(x0 - x) % m for (x0, _), (x1, _), (x2, _) in zip(t0, t1, t2) for x in (x1, x2)}
+    return frozenset(range(1, m)) - hits
+
+
 def admissible_keys(t0: Pairing, t1: Pairing, t2: Pairing) -> frozenset[int]:
     """Keys in ``Z_m^*`` whose template contains no duplicate pair.
 
-    Computed by direct duplicate testing for every key; an empty set is a
-    valid answer.  Only clause (iv) is tested: for a base with repeated sums
-    an admissible key can still break clause (iii), which
+    Read off the base's rows by :func:`_keys`; an empty set is a valid
+    answer.  Only clause (iv) is tested: for a base with repeated sums an
+    admissible key can still break clause (iii), which
     :func:`template_table` checks.
     """
-    t0, t1, t2 = _checked_base(t0, t1, t2)
-    m = t0.modulus
-    good = []
-    for key in range(1, m):
-        pairs = _emit(t0, t1, t2, key)
-        if len(set(pairs)) == len(pairs):
-            good.append(key)
-    return frozenset(good)
+    return _keys(*_checked_base(t0, t1, t2))
 
 
 def template_table(
@@ -176,16 +184,16 @@ def template_table(
     """
     t0, t1, t2 = _checked_base(t0, t1, t2)
     m = t0.modulus
+    key = _int(key, "key")
+    keys = _keys(t0, t1, t2)
+    if key in keys:
+        return validate(_emit(t0, t1, t2, key), m)
     if not 1 <= key < m:
         reason = f"lies outside 1..{m - 1}"
     else:
-        pairs = _emit(t0, t1, t2, key)
-        repeats = [pair for pair, n in Counter(pairs).items() if n > 1]
-        if not repeats:
-            return validate(pairs, m)
+        repeats = [pair for pair, n in Counter(_emit(t0, t1, t2, key)).items() if n > 1]
         reason = f"duplicates the pair {repeats[0]} in the template"
-    keys = sorted(admissible_keys(t0, t1, t2))
-    raise KeyNotAdmissible(f"key {key} is not admissible: it {reason}; K = {keys}")
+    raise KeyNotAdmissible(f"key {key} is not admissible: it {reason}; K = {sorted(keys)}")
 
 
 def one_starter_table(t: Pairing, key: int) -> TriplicationTable:
@@ -210,18 +218,14 @@ def epicycloidal(m: int, mu: int) -> Pairing:
     Defined for ``mu`` in ``2..m-2`` with ``gcd(mu - 1, m) = 1``.  It is
     ordered by construction: pair ``i`` has directed difference ``+i``.
     """
-    _odd_order(m)
+    m, mu = _odd_order(m), _int(mu, "mu")
     if not 2 <= mu <= m - 2:
         raise InvalidInput(f"multiplier must lie in 2..{m - 2}, got {mu}")
     if math.gcd(mu - 1, m) != 1:
         raise MultiplierNotInvertible(f"gcd({mu} - 1, {m}) != 1")
     inv = modinv(mu - 1, m)
-    q = (m - 1) // 2
-    pairs = []
-    for i in range(1, q + 1):
-        x = (inv * i) % m
-        pairs.append((x, (mu * x) % m))
-    return Pairing(m, tuple(pairs))
+    xs = [inv * i % m for i in range(1, (m + 1) // 2)]
+    return Pairing(m, [(x, mu * x % m) for x in xs])
 
 
 def patterned_starter(m: int) -> Pairing:
@@ -230,7 +234,7 @@ def patterned_starter(m: int) -> Pairing:
     Reordered to the canonical directed-difference form, pair ``i`` having
     difference ``+i``.
     """
-    _odd_order(m)
+    m = _odd_order(m)
     return normalize_ordered(Pairing(m, ((x, m - x) for x in range(1, (m + 1) // 2))))
 
 
@@ -260,6 +264,6 @@ def template_base_from_spec(spec: dict) -> tuple[Pairing, Pairing, Pairing]:
         return _three_starters(take("T0"), take("T1"), take("T2"))
     if mode == "epicycloidal":
         t0 = take("T0")
-        t1 = epicycloidal(m, _int(spec.get("mu"), "mu"))
+        t1 = epicycloidal(m, spec.get("mu"))
         return t0, t1, conjugate(t1)
     raise InvalidInput(f"unknown mode {mode!r}")

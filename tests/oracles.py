@@ -1,4 +1,4 @@
-"""Independent oracles used to cross-check the solver.
+"""Independent oracles used to cross-check the solver and the templates.
 
 Two enumerators produce the complete solution set of a table/scenario pair
 without the solver: candidates are generated exhaustively (one of them
@@ -6,11 +6,38 @@ dropping a partial candidate once a filled row or weak set fails) and
 filtered by evaluating the defining constraints through decode-and-reencode,
 never through the solver's compiled expressions.  :func:`gac_closure` computes
 the propagation fixpoint the solver must reach, the same way.
+:func:`keys_by_templates` finds the inadmissible keys of a template base by
+building every key's template.
 """
 
 import itertools
 
 import numpy as np
+
+from triplication import templates
+
+
+def keys_by_templates(t0, t1, t2):
+    """Each key of ``Z_m^*`` whose template repeats a pair, mapped to the
+    first pair of the template that occurs again later in it.
+
+    The base is aligned by ``templates._checked_base``; every key's template
+    is then built here, pair by pair, and scanned.  The admissible keys are
+    those missing from the map.
+    """
+    t0, t1, t2 = templates._checked_base(t0, t1, t2)
+    m = t0.modulus
+    repeats = {}
+    for key in range(1, m):
+        pairs = [(key, key)]
+        for (x0, y0), (x1, y1), (x2, y2) in zip(t0.pairs, t1.pairs, t2.pairs):
+            pairs.append((x0, y0))
+            pairs.append(((key + x1) % m, (key + y1) % m))
+            pairs.append(((key + x2) % m, (key + y2) % m))
+        repeated = [pair for i, pair in enumerate(pairs) if pair in pairs[i + 1 :]]
+        if repeated:
+            repeats[key] = repeated[0]
+    return repeats
 
 
 def _structures(tt):

@@ -241,11 +241,13 @@ def test_verify_rejects_garbage(tmp_path, capsys):
         ("verify", {"order": 21, "pairs": [1, 2]}),
         ("build --spec", {"mode": "one-starter", "m": 7, "T0": [1, 2, 3], "key": 1}),
         ("batch --samples 1 --fixed-tt", {"m": 7, "rows": [[5]]}),
+        ("build --mode one-starter --m 7 --T0 2,3;4,6;1 --key 1", None),
     ],
 )
 def test_malformed_pair_list_exits_4(tmp_path, capsys, monkeypatch, command, doc):
     monkeypatch.chdir(tmp_path)  # build and batch write here
-    code = run(command.split() + [write_json(tmp_path / "in.json", doc)])
+    files = [] if doc is None else [write_json(tmp_path / "in.json", doc)]
+    code = run(command.split() + files)
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("error: malformed pair list") and "Traceback" not in err

@@ -469,6 +469,11 @@ def test_random_tt_guards():
             random_tt(7, seed=1, budget=budget)
     with pytest.raises(InvalidInput, match="budget"):
         random_tt(41, seed=0, budget=1.5)
+    # an integral float order acts as the int; any other non-int is invalid
+    assert random_tt(7.0, seed=1) == random_tt(7, seed=1)
+    for m in ("7", 7.5):
+        with pytest.raises(InvalidInput, match="order must be an integer"):
+            random_tt(m, seed=1)
 
 
 def test_random_tt_stream_is_pinned():
@@ -554,6 +559,9 @@ def test_solution_json_round_trip():
         with pytest.raises(InvalidInput, match=match):
             solution_from_json({**doc, "scenario": kind, "r": r})
     assert solution_from_json({**doc, "scenario": "mod", "r": 27}).r == 27
+    for bad in ({k: v for k, v in doc.items() if k != "rows"}, [doc]):
+        with pytest.raises(InvalidInput, match="malformed solution JSON"):
+            solution_from_json(bad)
     # A length other than 3q + 1 has no row layout to write.
     with pytest.raises(InvalidInput, match="5 pairs"):
         solution_to_json(CongruousTable("carry", 3, ct.values[:5]))

@@ -31,6 +31,11 @@ def test_pairing_rejects_even_or_tiny_modulus():
         Pairing(6, [(1, 2)])
     with pytest.raises(InvalidInput):
         Pairing(1, [])
+    # an integral float order acts as the int; any other non-int is invalid
+    assert type(Pairing(7.0, [(1, 2)]).modulus) is int
+    for m in ("7", 7.5):
+        with pytest.raises(InvalidInput, match="order must be an integer"):
+            Pairing(m, [(1, 2)])
 
 
 def test_pairing_rejects_out_of_range_components():
@@ -183,6 +188,10 @@ def test_enumerate_limit_and_guard():
             enumerate_strong_starters(7, limit=limit)
     with pytest.raises(OrderTooLarge):
         enumerate_strong_starters(17)
+    assert enumerate_strong_starters(7.0) == enumerate_strong_starters(7)
+    for m in ("7", 7.5):
+        with pytest.raises(InvalidInput, match="order must be an integer"):
+            enumerate_strong_starters(m)
     assert len(enumerate_strong_starters(17, limit=1, allow_large=True)) == 1
 
 

@@ -8,10 +8,13 @@ from triplication import (
     CongruousTable,
     IncompatibleResidues,
     InputNotStrongStarter,
+    InternalVerificationFailure,
+    InvalidInput,
     NotCongruous,
     Pairing,
     Scenario,
     ScenarioMismatch,
+    StarterClass,
     StarterKind,
     canonical_unordered,
     check_congruous,
@@ -25,7 +28,7 @@ from triplication import (
     starter_to_json,
     validate,
 )
-from triplication import tables
+from triplication import recovery, tables
 from triplication.msp import compile_instance
 
 import golden
@@ -123,6 +126,15 @@ def test_recover_rejects_non_congruous_input():
         recover_starter(
             tt, CongruousTable(kind="carry", r=3, values=tuple(vals)), Scenario("carry", 7)
         )
+
+
+def test_recover_reports_a_failed_reverification_as_internal(monkeypatch):
+    # a decoded pairing that does not classify strong is a bug, not bad input
+    tt = validate(golden.TABLE_7_KEY1, 7)
+    ct = CongruousTable(kind="carry", r=3, values=tuple(golden.TABLE_7_KEY1_SOLUTION_CARRY))
+    monkeypatch.setattr(recovery, "classify", lambda p: StarterClass(StarterKind.STARTER, "x"))
+    with pytest.raises(InternalVerificationFailure, match="not a strong starter: x"):
+        recover_starter(tt, ct, Scenario("carry", 7))
 
 
 # --------------------------------------------------------------- round trip
@@ -227,3 +239,5 @@ def test_starter_json_round_trip():
     doc = starter_to_json(s, provenance={"note": "test"})
     assert doc["order"] == 21 and doc["provenance"]["note"] == "test"
     assert starter_from_json(doc) == s
+    with pytest.raises(InvalidInput, match="malformed starter JSON"):
+        starter_from_json({"pairs": doc["pairs"]})

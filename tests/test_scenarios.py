@@ -14,6 +14,12 @@ def test_parameters():
         Scenario("weird", 7)
     with pytest.raises(InvalidInput):
         Scenario("mod", 8)
+    # an integral float order acts as the int; any other non-int is invalid
+    assert Scenario("mod", 7.0) == Scenario("mod", 7)
+    assert type(Scenario("mod", 7.0).encode(3).u) is int
+    for m in ("7", 7.5):
+        with pytest.raises(InvalidInput, match="order must be an integer"):
+            Scenario("mod", m)
 
 
 def test_encode_examples():

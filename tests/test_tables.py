@@ -117,11 +117,20 @@ def test_rows_are_read_for_d_in_1_to_q_only():
     for d in (0, -1, 4):
         with pytest.raises(InvalidInput, match=f"row {d} outside 1..3"):
             tt.row(d)
+    assert tt.row(1.0) == tt.row(1)
+    for d in ("1", 1.5):
+        with pytest.raises(InvalidInput, match="row must be an integer"):
+            tt.row(d)
 
 
 def test_validate_rejects_wrong_length():
     with pytest.raises(InvalidInput):
         validate(golden.TABLE_7_KEY1[:-1], 7)
+    # an integral float order acts as the int; any other non-int is invalid
+    assert validate(golden.TABLE_7_KEY1, 7.0) == validate(golden.TABLE_7_KEY1, 7)
+    for m in ("7", 7.5):
+        with pytest.raises(InvalidInput, match="order must be an integer"):
+            validate(golden.TABLE_7_KEY1, m)
 
 
 # --------------------------------------------------------- index structures

@@ -1,4 +1,7 @@
 import math
+import random
+import re
+from collections import Counter
 
 import pytest
 
@@ -29,6 +32,7 @@ from triplication import (
 from triplication.errors import InconsistentOrdering, SpecialPairViolation
 
 import golden
+import oracles
 
 
 def one_starter_base(pairs, m):
@@ -88,6 +92,15 @@ def test_template_rejects_zero_key():
     t0, t1, t2 = one_starter_base(golden.STARTER_7_A, 7)
     with pytest.raises(InvalidInput):
         build_template(t0, t1, t2, 0)
+    # an integral float key acts as the int; any other non-int is invalid
+    assert build_template(t0, t1, t2, 3.0) == build_template(t0, t1, t2, 3)
+    assert one_starter_table(t0, 1.0) == one_starter_table(t0, 1)
+    for key in ("1", 1.5):
+        for build in (build_template, template_table):
+            with pytest.raises(InvalidInput, match="key must be an integer"):
+                build(t0, t1, t2, key)
+        with pytest.raises(InvalidInput, match="key must be an integer"):
+            one_starter_table(t0, key)
 
 
 def test_template_rejects_non_starter_column0():
@@ -152,6 +165,7 @@ def test_template_rejects_unalignable_base_naming_it(t0, t1, t2, match):
 
 def test_template_rejects_bases_of_different_order_or_length():
     t = Pairing(7, golden.STARTER_7_A)
+    assert not is_special_pair(t, Pairing(9, golden.STARTER_9))
     with pytest.raises(InconsistentOrdering, match="moduli"):
         admissible_keys(t, Pairing(9, golden.STARTER_9), t)
     with pytest.raises(InconsistentOrdering, match="lengths"):
@@ -210,6 +224,10 @@ def test_patterned_starter_and_its_empty_key_set():
     out = classify(p)
     assert out.kind == StarterKind.STARTER
     assert admissible_keys(*[p, p, conjugate(p)]) == frozenset()
+    assert patterned_starter(7.0) == p
+    for m in ("7", 7.5):
+        with pytest.raises(InvalidInput, match="order must be an integer"):
+            patterned_starter(m)
 
 
 def test_sums_complement_rule_over_all_starters():
@@ -239,6 +257,81 @@ def test_key_set_symmetry_in_last_two_bases():
     a = three_starter_table(P[1], P[2], P[3], key)
     b = three_starter_table(P[1], P[3], P[2], key)
     assert equivalent(a, b)
+
+
+def random_starter(m, rng):
+    """A seeded random starter of order m: each smallest unused element is
+    paired with a random partner of an unused difference class, restarting
+    at a dead end."""
+    while True:
+        used, classes, pairs = set(), set(), []
+        while len(pairs) < (m - 1) // 2:
+            x = min(set(range(1, m)) - used)
+            ys = [y for y in range(1, m) if y != x and y not in used
+                  and min((y - x) % m, (x - y) % m) not in classes]
+            if not ys:
+                break
+            y = rng.choice(ys)
+            used |= {x, y}
+            classes.add(min((y - x) % m, (x - y) % m))
+            pairs.append((x, y))
+        else:
+            return Pairing(m, pairs)
+
+
+def shuffled(p, rng):
+    """``p`` with its pairs in random order and orientation."""
+    pairs = [pair[::-1] if rng.random() < 0.5 else pair for pair in p.pairs]
+    rng.shuffle(pairs)
+    return Pairing(p.modulus, pairs)
+
+
+def seeded_bases(rng, count):
+    """``(kind, T0, T1, T2)`` for ``count`` template bases at m = 7..19."""
+    kinds = ("one-starter", "three-starter", "epicycloidal", "shared pair")
+    for n in range(count):
+        m, kind = rng.choice(range(7, 20, 2)), kinds[n % len(kinds)]
+        t0 = random_starter(m, rng)
+        if kind == "one-starter":
+            t1, t2 = t0, conjugate(t0)
+        elif kind == "three-starter":
+            t1, t2 = random_starter(m, rng), random_starter(m, rng)
+        elif kind == "epicycloidal":
+            mu = rng.choice([mu for mu in range(2, m - 1) if math.gcd(mu - 1, m) == 1])
+            t1 = epicycloidal(m, mu)
+            t2 = conjugate(t1)
+        else:
+            # a second starter keeping one pair of the first, else the first
+            t1 = t2 = random_starter(m, rng)
+            for _ in range(20):
+                s = random_starter(m, rng)
+                if {frozenset(p) for p in s} & {frozenset(p) for p in t1}:
+                    t2 = s
+                    break
+        yield kind, *(shuffled(t, rng) for t in (t0, t1, t2))
+
+
+def test_admissible_keys_match_the_templates_oracle():
+    # the row rule against every key's template, built and scanned: the
+    # same admissible keys, and KeyNotAdmissible names the first repeat
+    seen = Counter()
+    for kind, *base in seeded_bases(random.Random(23), 240):
+        try:
+            repeats = oracles.keys_by_templates(*base)
+        except SpecialPairViolation:  # an epicycloidal pair need not be special
+            with pytest.raises(SpecialPairViolation):
+                admissible_keys(*base)
+            continue
+        m = base[0].modulus
+        keys = admissible_keys(*base)
+        assert keys == frozenset(range(1, m)) - repeats.keys(), (kind, base)
+        seen[kind, bool(keys)] += 1
+        for key, pair in repeats.items():
+            with pytest.raises(KeyNotAdmissible, match=re.escape(f"the pair {pair} ")):
+                template_table(*base, key)
+    assert seen["shared pair", False] == 60
+    for kind in ("one-starter", "three-starter", "epicycloidal"):
+        assert seen[kind, True] and seen[kind, False], kind
 
 
 # ------------------------------------------------------------ three starter
@@ -294,6 +387,11 @@ def test_epicycloidal_rejects_bad_multiplier():
         epicycloidal(9, 4)  # gcd(3, 9) != 1
     with pytest.raises(InvalidInput):
         epicycloidal(7, 6)  # mu must be <= m - 2
+    # an integral float acts as the int; any other non-int is invalid
+    assert epicycloidal(7.0, 2) == epicycloidal(7, 2.0) == epicycloidal(7, 2)
+    for m, mu, name in (("7", 2, "order"), (7.5, 2, "order"), (7, "2", "mu"), (7, 2.5, "mu")):
+        with pytest.raises(InvalidInput, match=f"{name} must be an integer"):
+            epicycloidal(m, mu)
 
 
 def test_epicycloidal_keys_order7():
@@ -351,3 +449,6 @@ def test_template_base_from_spec_modes():
         template_base_from_spec({"mode": "one-starter", "m": 7})
     with pytest.raises(InvalidInput):
         template_base_from_spec({"mode": "wat", "m": 7, "T0": golden.STARTER_7_A})
+    for spec in ({"m": 7, "T0": golden.STARTER_7_A}, {"mode": "one-starter"}):
+        with pytest.raises(InvalidInput, match="malformed template spec"):
+            template_base_from_spec(spec)
