@@ -33,8 +33,8 @@ from .msp import compile_instance, random_tt, solution_to_json, solve
 from .pairings import _at_least_one, _odd_order, classify, pairing_from_json
 from .recovery import recover_starter, starter_from_json, starter_to_json
 from .scenarios import _KINDS, Scenario
-from .tables import render_table, table_from_json, table_to_json
-from .templates import admissible_keys, build_template, template_base_from_spec, template_table
+from .tables import _check_sums, render_table, table_from_json, table_to_json
+from .templates import _checked_base, _emit, _keys, template_base_from_spec, template_table
 
 EXIT_OK = 0
 EXIT_UNSAT = 2
@@ -136,15 +136,15 @@ def cmd_build(args) -> int:
 
 def cmd_keys(args) -> int:
     spec = _spec_from_args(args)
-    base = template_base_from_spec(spec)
-    keys = admissible_keys(*base)
+    base = _checked_base(*template_base_from_spec(spec))
+    keys = _keys(*base)
     m = base[0].modulus
     print(f"K = {sorted(keys)}  (|K| = {len(keys)})")
     # Clause (iv) alone admits these keys, but their template repeats a sum.
     broken = []
     for t in sorted(keys):
         try:
-            build_template(*base, t)
+            _check_sums(_emit(*base, t), m)
         except NotATable:
             broken.append(t)
     if broken:

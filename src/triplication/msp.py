@@ -470,6 +470,27 @@ def check_congruous(tt: TriplicationTable, ct: CongruousTable, sc) -> CongruityR
     return CongruityReport(tuple(violations))
 
 
+@cache
+def _byte_bits() -> tuple[tuple[int, ...], ...]:
+    """The set-bit positions of each byte value, in ascending order."""
+    return tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+
+
+def _select(bits: tuple[tuple[int, ...], ...], x: int, i: int) -> int:
+    """The position of the ``i``-th lowest set bit of ``x``, counting from 0,
+    for ``i < x.bit_count()``; ``bits`` is :func:`_byte_bits`.  The low 16
+    bits are skipped at once if they hold too few, then whole bytes by their
+    counts."""
+    s = 0
+    if i >= (c := (x & 0xFFFF).bit_count()):
+        i -= c
+        s = 16
+    while i >= len(p := bits[x >> s & 255]):
+        i -= len(p)
+        s += 8
+    return s + p[i]
+
+
 def random_tt(
     m: int, seed: int | None = None, budget: int | None = 100_000
 ) -> TriplicationTable:
@@ -491,10 +512,14 @@ def random_tt(
     ``m`` bits; ``inv2 = (m + 1)/2``).  The pick is the ``i``-th candidate
     in ascending order, ``i`` drawn as ``rng.randrange(n)`` draws it: a seed
     yields the same table, or abort, as ``rng.choice`` on the candidates.
+    :func:`_select` finds that candidate a byte at a time through a table of
+    each byte's set bits, and per-row tables indexed by ``u`` give its pair
+    and its half sum ``h``.
     """
     m = _odd_order(m, least=5)
     _at_least_one("budget", budget)
     getrandbits = random.Random(seed).getrandbits
+    bits = _byte_bits()
     q = (m - 1) // 2
     full = (1 << m) - 1
     # avail and half are kept doubled, x | x << m, so x >> s is rot(x, s) on
@@ -503,6 +528,9 @@ def random_tt(
     both = [(1 << u) | (1 << (u + m)) for u in range(m)]
     width = [n.bit_length() for n in range(m + 1)]
     half_shift = [d * (m + 1) // 2 % m for d in range(q + 1)]
+    # row d places pair_rows[d][u] = (u, u + d) with sum 2 * half_rows[d][u]
+    pair_rows = [[(u, (u + d) % m) for u in range(m)] for d in range(q + 1)]
+    half_rows = [[(u + b) % m for u in range(m)] for b in half_shift]
     left = budget or -1  # placements left; -1 (no budget) never hits 0
     while True:
         key = m
@@ -519,6 +547,8 @@ def random_tt(
         place = pairs.append
         for d in range(1, q + 1):
             b = half_shift[d]
+            row = pair_rows[d]
+            halves = half_rows[d]
             free = full  # ~used
             for _ in range(3):
                 cand = avail & free & (avail >> d) & (half >> b)
@@ -529,28 +559,21 @@ def random_tt(
                 i = getrandbits(k)
                 while i >= n:
                     i = getrandbits(k)
-                # strip set bits from the nearer end to the i-th
-                if 2 * i < n:
-                    for _ in range(i):
-                        cand &= cand - 1
-                    u = (cand & -cand).bit_length() - 1
-                else:
-                    for _ in range(n - 1 - i):
-                        cand ^= 1 << (cand.bit_length() - 1)
-                    u = cand.bit_length() - 1
-                v = (u + d) % m
+                u = _select(bits, cand, i)
+                pair = row[u]
+                v = pair[1]
                 counts[u] -= 1
                 if not counts[u]:
                     avail ^= both[u]
                 counts[v] -= 1
                 if not counts[v]:
                     avail ^= both[v]
-                h = (u + b) % m  # 2h = u + v
+                h = halves[u]  # 2h = u + v
                 half_left[h] -= 1
                 if not half_left[h]:
                     half ^= both[h]
                 free ^= bit[u]
-                place((u, v))
+                place(pair)
                 if not left:
                     raise BudgetExceeded(
                         f"random table sampling for m={m} exceeded {budget} placements"

@@ -93,7 +93,8 @@ def _align_bases(t0: Pairing, t1: Pairing, t2: Pairing) -> tuple[Pairing, ...]:
             bases.append(normalize_ordered(p))
         except InvalidInput as exc:
             raise InvalidInput(f"{label}: {exc}") from exc
-    flip = [pair not in t0.pairs for pair in bases[0]]
+    own = set(t0.pairs)
+    flip = [pair not in own for pair in bases[0]]
     return tuple(
         Pairing(b.modulus, [p[::-1] if f else p for p, f in zip(b, flip)]) for b in bases
     )

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,6 +25,7 @@ from triplication import (
     solve,
     validate,
 )
+from triplication import msp
 from triplication.msp import _Search
 
 import golden
@@ -515,6 +517,43 @@ def test_random_tt_stream_is_pinned_where_sample_runs():
     assert digest.hexdigest() == (
         "83efc91a81106e48134008ae0867a6a510ca1f1035494b807918b47a2edcf947"
     )
+
+
+def test_random_tt_stream_is_pinned_at_wider_orders(monkeypatch):
+    """The same pin where the candidate set spans 5 to 8 bytes.  Each run
+    here ends at its budget, with one message per order, so the digest also
+    takes the width of every draw: each index's width follows the candidate
+    count, which follows every earlier pick."""
+    digest = hashlib.sha256()
+
+    class Recorded(random.Random):
+        def getrandbits(self, k):
+            digest.update(bytes((k,)))
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(msp, "random", SimpleNamespace(Random=Recorded))
+    for m in (37, 41, 47, 53, 61):
+        for seed in range(10):
+            try:
+                outcome = repr(random_tt(m, seed, budget=3000).pairs)
+            except BudgetExceeded as exc:
+                outcome = str(exc)
+            digest.update(outcome.encode())
+    assert digest.hexdigest() == (
+        "311dba2cf1e603c053702aa7dcc7a5f5821621f78f7534cfac692aad12a56e81"
+    )
+
+
+def test_select_finds_the_ith_set_bit():
+    """``random_tt``'s pick, up to the width of a doubled set at ``m = 61``."""
+    bits = msp._byte_bits()
+    rng = random.Random(24)
+    xs = [rng.getrandbits(rng.randint(1, 122)) | 1 << rng.randrange(122)
+          for _ in range(400)]
+    for x in xs + [1, 1 << 121, (1 << 122) - 1, 0xFFFF, 0xFFFF << 16, 1 << 16 | 1]:
+        positions = [j for j in range(122) if x >> j & 1]
+        for i, position in enumerate(positions):
+            assert msp._select(bits, x, i) == position
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2024])
